@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz bench benchsmoke benchjson bench5 bench6 bench7 bench8 bench9 bench10
+.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke benchtest fuzz bench benchsmoke benchjson bench5 bench6 bench7 bench8 bench9 bench10
 
 ## ci: the full verification gate — vet, build, unit tests, race detector,
 ## the fault-injection matrix, the admission-server smoke, an open-loop
 ## load-generator smoke, the durability crash-recovery smoke, the policy
-## arena smoke, a short fuzz smoke of the partition invariants, and a
-## one-iteration benchmark smoke (catches benchmarks whose setup asserts
-## fail).
-ci: vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke fuzz benchsmoke
+## arena smoke, the served-admission benchmark's own tests, a short fuzz
+## smoke of the partition invariants, and a one-iteration benchmark smoke
+## (catches benchmarks whose setup asserts fail).
+ci: vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke benchtest fuzz benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -71,6 +71,13 @@ clustersmoke:
 	$(GO) test -race -timeout 180s -count=1 \
 		-run 'Ring|Cluster|Migrat' \
 		./internal/cluster ./internal/service
+
+## benchtest: the servebench module's tests. `go test ./...` at the root
+## never reaches that module, yet its twin re-derives every served
+## session answer, so it pins the session semantics. Same offline
+## environment as servebench/run.sh.
+benchtest:
+	GOFLAGS= GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) -C servebench test ./...
 
 ## fuzz: short smokes of the partition-engine invariant fuzzer and the
 ## rational arithmetic differential fuzzer (covers the Add/Cmp fast paths).

@@ -1,6 +1,7 @@
 package partfeas_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -78,7 +79,7 @@ func ExamplePartitionedMinScaling() {
 
 // An accepted partition replayed in the exact simulator meets every
 // deadline over a full hyperperiod.
-func ExampleSimulate() {
+func ExampleSimulateCtx() {
 	tasks := partfeas.TaskSet{
 		{Name: "a", WCET: 1, Period: 2},
 		{Name: "b", WCET: 1, Period: 3},
@@ -89,7 +90,9 @@ func ExampleSimulate() {
 	if err != nil || !rep.Accepted {
 		log.Fatal("expected acceptance")
 	}
-	res, err := partfeas.Simulate(tasks, platform, rep.Partition.Assignment, partfeas.PolicyEDF, 1, 0)
+	in := partfeas.Instance{Tasks: tasks, Platform: platform, Scheduler: partfeas.EDF}
+	res, _, err := partfeas.SimulateCtx(context.Background(), in,
+		partfeas.SimulateOptions{Assignment: rep.Partition.Assignment, Alpha: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"partfeas/internal/sim"
 )
 
 func TestInstanceValidateNamesOffendingMachine(t *testing.T) {
@@ -101,60 +103,50 @@ func TestCtxEntryPointsMatchLegacy(t *testing.T) {
 	}
 }
 
-func TestSimulateCtxMatchesDeprecatedVariants(t *testing.T) {
+// TestSimulateCtxMatchesSim pins SimulateCtx to the simulator it wraps:
+// the instance's scheduler picks the policy (EDF → PolicyEDF, RMS →
+// PolicyRM) and traces come back only when asked for.
+func TestSimulateCtxMatchesSim(t *testing.T) {
 	ts, p := demoInstance()
-	rep, err := Test(ts, p, EDF, 1)
-	if err != nil || !rep.Accepted {
-		t.Fatal("demo must be accepted")
-	}
-	asg := append([]int(nil), rep.Partition.Assignment...)
 	ctx := context.Background()
-	in := Instance{Tasks: ts, Platform: p, Scheduler: EDF}
+	for _, tc := range []struct {
+		sch   Scheduler
+		pol   Policy
+		alpha float64
+	}{{EDF, PolicyEDF, 1}, {RMS, PolicyRM, 2}} {
+		rep, err := Test(ts, p, tc.sch, tc.alpha)
+		if err != nil || !rep.Accepted {
+			t.Fatalf("%v at α=%v must accept the demo", tc.sch, tc.alpha)
+		}
+		asg := append([]int(nil), rep.Partition.Assignment...)
+		in := Instance{Tasks: ts, Platform: p, Scheduler: tc.sch}
 
-	legacy, err := Simulate(ts, p, asg, PolicyEDF, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, traces, err := SimulateCtx(ctx, in, SimulateOptions{Assignment: asg, Alpha: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traces != nil {
-		t.Error("untraced run returned traces")
-	}
-	if !reflect.DeepEqual(legacy, got) {
-		t.Errorf("SimulateCtx diverges from Simulate:\n%+v\n%+v", got, legacy)
-	}
+		want, err := sim.SimulatePartitionOpts(ts, p, asg, tc.pol, tc.alpha, 0, sim.PartitionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, traces, err := SimulateCtx(ctx, in, SimulateOptions{Assignment: asg, Alpha: tc.alpha})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traces != nil {
+			t.Errorf("%v: untraced run returned traces", tc.sch)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%v: SimulateCtx diverges from the simulator:\n%+v\n%+v", tc.sch, got, want)
+		}
 
-	legacyRes, legacyTr, err := SimulateTraced(ts, p, asg, PolicyEDF, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRes, gotTr, err := SimulateCtx(ctx, in, SimulateOptions{Assignment: asg, Alpha: 1, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyRes, gotRes) || !reflect.DeepEqual(legacyTr, gotTr) {
-		t.Error("traced SimulateCtx diverges from SimulateTraced")
-	}
-
-	// RMS maps to PolicyRM.
-	repRMS, err := Test(ts, p, RMS, 2)
-	if err != nil || !repRMS.Accepted {
-		t.Fatal("RMS at α=2 must accept the demo")
-	}
-	asgRMS := append([]int(nil), repRMS.Partition.Assignment...)
-	legacyRMS, err := Simulate(ts, p, asgRMS, PolicyRM, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRMS, _, err := SimulateCtx(ctx, Instance{Tasks: ts, Platform: p, Scheduler: RMS},
-		SimulateOptions{Assignment: asgRMS, Alpha: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacyRMS, gotRMS) {
-		t.Error("RMS SimulateCtx diverges from Simulate(PolicyRM)")
+		wantRes, wantTr, err := sim.SimulatePartitionTracedOpts(ts, p, asg, tc.pol, tc.alpha, 0, sim.PartitionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRes, gotTr, err := SimulateCtx(ctx, in, SimulateOptions{Assignment: asg, Alpha: tc.alpha, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantRes, gotRes) || !reflect.DeepEqual(wantTr, gotTr) {
+			t.Errorf("%v: traced SimulateCtx diverges from the traced simulator", tc.sch)
+		}
 	}
 }
 

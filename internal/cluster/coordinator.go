@@ -235,7 +235,11 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, id string)
 			if res.StatusCode == http.StatusServiceUnavailable && res.Header.Get("X-Migration") != "" {
 				drain(res)
 				c.migrationRetries.Add(1)
-				time.Sleep(25 * time.Millisecond << uint(attempt))
+				if !sleepCtx(r.Context(), 25*time.Millisecond<<uint(attempt)) {
+					// The client hung up mid-handoff: stop retrying for it.
+					writeJSON(w, service.StatusClientClosedRequest, service.ErrorResponse{Error: "client closed the request during a session migration"})
+					return
+				}
 				continue
 			}
 		}
@@ -246,6 +250,19 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, id string)
 		}
 		c.relay(w, res, replica)
 		return
+	}
+}
+
+// sleepCtx waits for d or until ctx is done, reporting whether the full
+// wait elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -379,6 +381,53 @@ func TestClusterDegradedPassthrough(t *testing.T) {
 	// Reads keep working through the same path.
 	if code, _, _ := httpDo(t, http.MethodGet, base+"/v1/sessions/"+id, ""); code != http.StatusOK {
 		t.Errorf("read on degraded replica: %d, want 200", code)
+	}
+}
+
+// TestClusterMigrationRetryObservesCancel: a client that hangs up while
+// the coordinator waits out a run of 503+X-Migration answers gets its
+// handler back promptly, and nothing more is forwarded for it.
+func TestClusterMigrationRetryObservesCancel(t *testing.T) {
+	var hits atomic.Int32
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("X-Migration", "1")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer fake.Close()
+	c := New(Config{Addr: "127.0.0.1:0", Replicas: []string{fake.URL}, HealthInterval: -1, IDPrefix: "t", Logf: t.Logf})
+	defer c.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/t-1/tasks", strings.NewReader(`{"task":{"wcet":1,"period":10}}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan time.Time)
+	go func() {
+		c.Handler().ServeHTTP(rec, req)
+		done <- time.Now()
+	}()
+	// After the third answer the coordinator backs off 100 ms before the
+	// fourth try; hang up inside that wait.
+	for c.migrationRetries.Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	cancelled := time.Now()
+	cancel()
+	select {
+	case end := <-done:
+		if wait := end.Sub(cancelled); wait > 50*time.Millisecond {
+			t.Errorf("handler returned %v after the client hung up", wait)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler still running 5s after the client hung up")
+	}
+	time.Sleep(300 * time.Millisecond)
+	if n := hits.Load(); n != 3 {
+		t.Errorf("replica saw %d forwards, want 3 (nothing after the hang-up)", n)
+	}
+	if rec.Code != service.StatusClientClosedRequest {
+		t.Errorf("status %d, want %d", rec.Code, service.StatusClientClosedRequest)
 	}
 }
 

@@ -37,12 +37,15 @@ func (m BatchMode) String() string {
 
 // AdmitBatch offers several tasks at once. Admitted tasks receive
 // consecutive ids in input order starting at the pre-call Len(); the
-// returned slice reports each input task's verdict. In SortedOrder the
-// batch is merged into the placement order and placed by a single
-// suffix replay — one checkpoint restore and one pass regardless of how
-// many insertions the batch scatters across the order — and the
-// resulting state is byte-identical to admitting the tasks one by one
-// (and hence to a fresh sorted solve over the surviving multiset). res
+// returned slice reports each input task's verdict. A task is admitted
+// only when its admission leaves every resident task placed, so on an
+// over-capacity engine a batch commits only when it restores
+// feasibility. Under the ordered policy the batch is merged into the
+// placement order and placed by a single suffix replay — one checkpoint
+// restore and one pass regardless of how many insertions the batch
+// scatters across the order — and the resulting state is byte-identical
+// to admitting the tasks one by one (and hence to a fresh sorted solve
+// over the surviving multiset). res
 // is the engine's new state on (full or partial) success, or the
 // rejection witness when nothing was admitted. An error means the batch
 // was malformed and the engine is untouched.
@@ -89,8 +92,10 @@ func (e *Engine) admitBatch(ts []task.Task, dls []int64, mode BatchMode) (res pa
 	// placement order in one backward two-pointer pass (the order is a
 	// strict total order with an id tie-break, so the merged layout is
 	// exactly the one sequential sort.Search insertions produce), then
-	// replay once from the first merged position.
+	// replay once from the first merged position (or from the failure
+	// point of an over-capacity engine, if that comes first).
 	n0 := len(e.tasks)
+	f := n0 - e.unplaced
 	for i, t := range ts {
 		e.tasks = append(e.tasks, t)
 		e.utils = append(e.utils, t.Utilization())
@@ -127,22 +132,21 @@ func (e *Engine) admitBatch(ts []task.Task, dls []int64, mode BatchMode) (res pa
 	kmin := w + 1 // final position of the batch's first task; prefix untouched
 	e.recomputePos(kmin)
 	e.begin(edit{op: opBatchInsert, id: n0, kOld: kmin})
-	e.stats = OpStats{ReplayFrom: kmin, BatchSize: len(ts)}
-	failID := e.replayFrom(kmin)
+	from := min(kmin, f)
+	e.stats = OpStats{ReplayFrom: from, BatchSize: len(ts)}
+	failID := e.replayFrom(from)
 	if perr := e.takeProbeErr(); perr != nil {
 		e.rollback()
 		return partition.Result{}, nil, fmt.Errorf("online: %w", perr)
 	}
-	if failID < 0 {
-		e.commit(kmin)
+	res, ok := e.settle(from, failID, -1, false)
+	if ok {
 		admitted = make([]bool, len(ts))
 		for i := range admitted {
 			admitted[i] = true
 		}
-		return e.Result(), admitted, nil
+		return res, admitted, nil
 	}
-	res = e.failResult(failID, -1)
-	e.rollback()
 	if mode == AllOrNothing {
 		return res, make([]bool, len(ts)), nil
 	}
@@ -153,7 +157,8 @@ func (e *Engine) admitBatch(ts []task.Task, dls []int64, mode BatchMode) (res pa
 
 // admitBatchSequential admits the batch one task at a time. For
 // AllOrNothing a failure undoes the already-admitted prefix (only
-// reachable in ArrivalOrder, where removal always succeeds).
+// reachable under local policies, where removing the tasks just
+// admitted to a fully placed engine always succeeds).
 func (e *Engine) admitBatchSequential(ts []task.Task, dls []int64, mode BatchMode) (partition.Result, []bool, error) {
 	admitted := make([]bool, len(ts))
 	nAdmitted := 0
@@ -165,7 +170,7 @@ func (e *Engine) admitBatchSequential(ts []task.Task, dls []int64, mode BatchMod
 		if dls != nil {
 			d = dls[i]
 		}
-		r, ok, err := e.admitOne(t, d)
+		r, ok, err := e.admitOne(t, d, false)
 		if err != nil {
 			return partition.Result{}, nil, err
 		}

@@ -33,11 +33,11 @@ func TestAdmitBatchDifferential(t *testing.T) {
 			for inst := 0; inst < 10; inst++ {
 				p := randPlatform(rng)
 				cur := task.Set{{WCET: 1, Period: 1 << 20}}
-				e, err := New(cur, p, adm, 1, SortedOrder)
+				e, err := NewEngine(cur, p, Options{Admission: adm, Alpha: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				twin, err := New(cur, p, adm, 1, SortedOrder)
+				twin, err := NewEngine(cur, p, Options{Admission: adm, Alpha: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +99,7 @@ func TestAdmitBatchAllOrNothing(t *testing.T) {
 			for inst := 0; inst < 10; inst++ {
 				p := randPlatform(rng)
 				cur := task.Set{{WCET: 1, Period: 1 << 20}}
-				e, err := New(cur, p, adm, 1, SortedOrder)
+				e, err := NewEngine(cur, p, Options{Admission: adm, Alpha: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,7 +146,7 @@ func TestAdmitBatchMidFailureRollback(t *testing.T) {
 	cur := task.Set{
 		{WCET: 3, Period: 10}, {WCET: 2, Period: 12}, {WCET: 1, Period: 9},
 	}
-	e, err := New(cur, p, partition.EDFAdmission{}, 1, SortedOrder)
+	e, err := NewEngine(cur, p, Options{Admission: partition.EDFAdmission{}, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +187,17 @@ func TestAdmitBatchMidFailureRollback(t *testing.T) {
 }
 
 // TestAdmitBatchArrival covers the sequential delegation path: in
-// ArrivalOrder a batch is defined as one Admit per task in input order,
+// arrival-order a batch is defined as one Admit per task in input order,
 // and AllOrNothing undoes the admitted prefix on failure.
 func TestAdmitBatchArrival(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	p := randPlatform(rng)
 	cur := task.Set{{WCET: 1, Period: 1 << 20}}
-	e, err := New(cur, p, partition.EDFAdmission{}, 1, ArrivalOrder)
+	e, err := NewEngine(cur, p, Options{Policy: FirstFitArrival(), Admission: partition.EDFAdmission{}, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err := New(cur, p, partition.EDFAdmission{}, 1, ArrivalOrder)
+	twin, err := NewEngine(cur, p, Options{Policy: FirstFitArrival(), Admission: partition.EDFAdmission{}, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestAdmitBatchArrival(t *testing.T) {
 // TestAdmitBatchValidation covers the malformed-batch guards.
 func TestAdmitBatchValidation(t *testing.T) {
 	p := randPlatform(rand.New(rand.NewSource(3)))
-	e, err := New(task.Set{{WCET: 1, Period: 10}}, p, partition.EDFAdmission{}, 1, SortedOrder)
+	e, err := NewEngine(task.Set{{WCET: 1, Period: 10}}, p, Options{Admission: partition.EDFAdmission{}, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

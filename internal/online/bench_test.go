@@ -54,6 +54,13 @@ var benchProbes = []struct {
 	{"interior", task.Task{WCET: 7, Period: 100}},
 }
 
+// benchModes names the two first-fit policies the engine benchmarks
+// compare (the names are the recorded benchmark keys).
+var benchModes = []struct {
+	name string
+	pol  Policy
+}{{"sorted", FirstFitSorted()}, {"arrival", FirstFitArrival()}}
+
 // BenchmarkOnlineAdmit measures one incremental admit+remove round trip
 // on a live engine — the operation pair a session performs for a
 // rejected-then-rolled-back or probed mutation, and the engine-backed
@@ -62,13 +69,13 @@ var benchProbes = []struct {
 // BenchmarkFullResolveAdmit.
 func BenchmarkOnlineAdmit(b *testing.B) {
 	ts, p := benchInstance()
-	for _, ord := range []Order{SortedOrder, ArrivalOrder} {
+	for _, mode := range benchModes {
 		for _, probe := range benchProbes {
-			if ord == ArrivalOrder && probe.name == "interior" {
+			if !mode.pol.Ordered() && probe.name == "interior" {
 				continue // arrival placement is position-independent
 			}
-			b.Run(ord.String()+"/"+probe.name, func(b *testing.B) {
-				e, err := New(ts, p, partition.EDFAdmission{}, 1, ord)
+			b.Run(mode.name+"/"+probe.name, func(b *testing.B) {
+				e, err := NewEngine(ts, p, Options{Policy: mode.pol, Admission: partition.EDFAdmission{}, Alpha: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -103,7 +110,7 @@ func BenchmarkOnlineAdmitBatch(b *testing.B) {
 		// so the batch scatters over many distinct interior positions.
 		bt[i] = task.Task{WCET: 7, Period: int64(140 + 5*i)}
 	}
-	e, err := New(ts, p, partition.EDFAdmission{}, 1, SortedOrder)
+	e, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}, Alpha: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +175,7 @@ func BenchmarkFullResolveAdmit(b *testing.B) {
 // fresh sorted solve plus the diff) at the acceptance-criteria scale.
 func BenchmarkRepartitionPlan(b *testing.B) {
 	ts, p := benchInstance()
-	e, err := New(ts, p, partition.EDFAdmission{}, 1, ArrivalOrder)
+	e, err := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Admission: partition.EDFAdmission{}, Alpha: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +259,7 @@ func BenchmarkOnlineAdmitDBF(b *testing.B) {
 	cs, p := benchConstrainedInstance()
 	engines := map[int]*Engine{}
 	for _, k := range []int{8, 0} {
-		e, err := NewConstrained(cs, p, 1, SortedOrder, k)
+		e, err := newConstrained(cs, p, Options{Alpha: 1, ApproxK: k})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,7 +306,7 @@ func BenchmarkOnlineAdmitDBF(b *testing.B) {
 func TestBenchConstrainedInstanceFeasible(t *testing.T) {
 	cs, p := benchConstrainedInstance()
 	for _, k := range []int{0, 8} {
-		if _, err := NewConstrained(cs, p, 1, SortedOrder, k); err != nil {
+		if _, err := newConstrained(cs, p, Options{Alpha: 1, ApproxK: k}); err != nil {
 			t.Fatal(fmt.Errorf("k=%d: %w", k, err))
 		}
 	}
@@ -309,9 +316,9 @@ func TestBenchConstrainedInstanceFeasible(t *testing.T) {
 // be feasible in both modes so the loops above cannot silently no-op.
 func TestBenchInstanceFeasible(t *testing.T) {
 	ts, p := benchInstance()
-	for _, ord := range []Order{SortedOrder, ArrivalOrder} {
-		if _, err := New(ts, p, partition.EDFAdmission{}, 1, ord); err != nil {
-			t.Fatal(fmt.Errorf("%v: %w", ord, err))
+	for _, mode := range benchModes {
+		if _, err := NewEngine(ts, p, Options{Policy: mode.pol, Admission: partition.EDFAdmission{}, Alpha: 1}); err != nil {
+			t.Fatal(fmt.Errorf("%s: %w", mode.name, err))
 		}
 	}
 }

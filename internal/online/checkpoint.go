@@ -91,7 +91,9 @@ func (cp *checkpoints) rebuildFrom(e *Engine, k int) {
 	for c := keep; c < want; c++ {
 		hi := base + cp.stride
 		for _, id := range sorted[base:hi] {
-			cnt[assign[id]]++
+			if j := assign[id]; j >= 0 { // unplaced tasks count nowhere
+				cnt[j]++
+			}
 		}
 		base = hi
 		if c == len(cp.plen) {

@@ -34,7 +34,7 @@ func TestCheckpointStrides(t *testing.T) {
 		seed := task.Set{{WCET: 1, Period: 1 << 20}}
 		engines := make([]*Engine, len(strides))
 		for i, st := range strides {
-			e, err := New(seed, p, testAdmissions[inst%len(testAdmissions)], 1, SortedOrder)
+			e, err := NewEngine(seed, p, Options{Admission: testAdmissions[inst%len(testAdmissions)], Alpha: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestCheckpointInvalidation(t *testing.T) {
 		for len(ts) < 80 {
 			ts = append(ts, task.Task{WCET: 1, Period: int64(40 + len(ts))})
 		}
-		e, err := New(ts, p, adm, 1, SortedOrder)
+		e, err := NewEngine(ts, p, Options{Admission: adm, Alpha: 1})
 		if err != nil {
 			// Random platform may be too slow for the dense seed set;
 			// thin it out until the seed fits.
@@ -131,7 +131,7 @@ func TestCheckpointInvalidation(t *testing.T) {
 			if err := e.SelfCheck(); err != nil {
 				t.Fatalf("inst %d op %d: %v", inst, op, err)
 			}
-			fresh, err := New(e.Tasks(), p, adm, e.Alpha(), SortedOrder)
+			fresh, err := NewEngine(e.Tasks(), p, Options{Admission: adm, Alpha: e.Alpha()})
 			if err != nil {
 				t.Fatalf("inst %d op %d: rebuilt engine: %v", inst, op, err)
 			}
@@ -152,7 +152,7 @@ func TestCheckpointInvalidation(t *testing.T) {
 
 // TestEngineFuzzOps is the widest randomized cross-check: arbitrary
 // interleavings of single admits, batches in both modes, removals, and
-// WCET updates on a SortedOrder engine, with the fresh sorted solve of
+// WCET updates on a sorted-order engine, with the fresh sorted solve of
 // the independently-mirrored multiset as the oracle after every single
 // operation, plus a full SelfCheck (which verifies fold bits, position
 // maps, the public assignment mirror, and checkpoint exactness).
@@ -164,7 +164,7 @@ func TestEngineFuzzOps(t *testing.T) {
 			for inst := 0; inst < 8; inst++ {
 				p := randPlatform(rng)
 				cur := task.Set{{WCET: 1, Period: 1 << 20}}
-				e, err := New(cur, p, adm, 1, SortedOrder)
+				e, err := NewEngine(cur, p, Options{Admission: adm, Alpha: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

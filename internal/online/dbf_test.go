@@ -10,6 +10,7 @@ import (
 	"partfeas/internal/dbf"
 	"partfeas/internal/machine"
 	"partfeas/internal/partition"
+	"partfeas/internal/task"
 )
 
 // The differential generators keep every utilization and speed on the
@@ -38,6 +39,18 @@ func randDyadicPlatform(rng *rand.Rand) machine.Platform {
 }
 
 func cloneCSet(s dbf.Set) dbf.Set { return append(dbf.Set{}, s...) }
+
+// newConstrained builds a constrained-deadline engine over a dbf.Set:
+// the implicit task set plus opts.Deadlines taken from it.
+func newConstrained(ts dbf.Set, p machine.Platform, opts Options) (*Engine, error) {
+	tts := make(task.Set, len(ts))
+	opts.Deadlines = make([]int64, len(ts))
+	for i, t := range ts {
+		tts[i] = task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
+		opts.Deadlines[i] = t.Deadline
+	}
+	return NewEngine(tts, p, opts)
+}
 
 // freshDBF is the differential reference: the offline constrained
 // first-fit with per-probe exact FeasibleEDF admission.
@@ -77,7 +90,7 @@ func checkOp(t *testing.T, ctx string, res partition.Result, ok bool, opErr erro
 
 // TestEngineDBFSortedDifferential is the tentpole's acceptance test:
 // over randomized Admit/Remove/UpdateWCET/AdmitBatch sequences on
-// constrained-deadline sets, every SortedOrder engine verdict and
+// constrained-deadline sets, every sorted-order engine verdict and
 // assignment must be identical to a fresh dbf.FirstFit (exact-admission)
 // solve over the surviving multiset — no matter which tier answered.
 // k = 0 runs the exact-only pipeline; the tiered depths must agree with
@@ -93,31 +106,44 @@ func TestEngineDBFSortedDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(k)*7919 + 13))
+			overCap := 0
 			for inst := 0; inst < instances; inst++ {
 				p := randDyadicPlatform(rng)
 				alpha := []float64{1, 1, 1.5, 2.5}[rng.Intn(4)]
 				cur := dbf.Set{{WCET: 1, Deadline: 64, Period: 64}}
-				e, err := NewConstrained(cur, p, alpha, SortedOrder, k)
+				e, err := newConstrained(cur, p, Options{Alpha: alpha, ApproxK: k})
 				if err != nil {
 					t.Fatalf("inst %d: seed engine: %v", inst, err)
 				}
 				for op := 0; op < opsPer; op++ {
 					ctx := fmt.Sprintf("inst %d op %d", inst, op)
+					// Forced mutations commit whatever the verdict, so
+					// the engine also runs over capacity, where it must
+					// keep answering what the fresh solve answers.
+					force := rng.Intn(6) == 0
 					switch c := rng.Intn(10); {
 					case c < 4: // admit
 						tk := randCTask(rng)
 						cand := append(cloneCSet(cur), tk)
 						feas, as, refErr := freshDBF(cand, p, alpha)
-						res, ok, err := e.AdmitConstrained(tk)
-						if checkOp(t, ctx+" admit", res, ok, err, feas, as, refErr) {
+						admit := e.AdmitConstrained
+						if force {
+							admit = e.ForceAdmitConstrained
+						}
+						res, ok, err := admit(tk)
+						if checkOp(t, ctx+" admit", res, ok, err, feas, as, refErr) || force && err == nil {
 							cur = cand
 						}
 					case c < 6 && len(cur) > 1: // remove
 						id := rng.Intn(len(cur))
 						shr := append(cloneCSet(cur[:id]), cur[id+1:]...)
 						feas, as, refErr := freshDBF(shr, p, alpha)
-						res, ok, err := e.Remove(id)
-						if checkOp(t, ctx+" remove", res, ok, err, feas, as, refErr) {
+						remove := e.Remove
+						if force {
+							remove = e.ForceRemove
+						}
+						res, ok, err := remove(id)
+						if checkOp(t, ctx+" remove", res, ok, err, feas, as, refErr) || force && err == nil {
 							cur = shr
 						}
 					case c < 8: // update WCET
@@ -126,8 +152,12 @@ func TestEngineDBFSortedDifferential(t *testing.T) {
 						upd := cloneCSet(cur)
 						upd[id].WCET = w
 						feas, as, refErr := freshDBF(upd, p, alpha)
-						res, ok, err := e.UpdateWCET(id, w)
-						if checkOp(t, ctx+" update", res, ok, err, feas, as, refErr) {
+						update := e.UpdateWCET
+						if force {
+							update = e.ForceUpdateWCET
+						}
+						res, ok, err := update(id, w)
+						if checkOp(t, ctx+" update", res, ok, err, feas, as, refErr) || force && err == nil {
 							cur = upd
 						}
 					default: // batch admit
@@ -193,11 +223,17 @@ func TestEngineDBFSortedDifferential(t *testing.T) {
 					// The engine's resident state must match a fresh solve
 					// after every few mutations, and its internals verify.
 					if op%13 == 0 || op == opsPer-1 {
-						_, as, refErr := freshDBF(cur, p, alpha)
+						feas, as, refErr := freshDBF(cur, p, alpha)
 						if refErr != nil {
 							t.Fatalf("inst %d op %d: fresh state solve: %v", inst, op, refErr)
 						}
 						sameAssign(t, "state", append([]int(nil), e.Result().Assignment...), as)
+						if e.Feasible() != feas {
+							t.Fatalf("inst %d op %d: Feasible() = %v, fresh %v", inst, op, e.Feasible(), feas)
+						}
+						if !feas {
+							overCap++
+						}
 						if err := e.SelfCheck(); err != nil {
 							t.Fatalf("inst %d op %d: SelfCheck: %v", inst, op, err)
 						}
@@ -213,6 +249,9 @@ func TestEngineDBFSortedDifferential(t *testing.T) {
 					}
 				}
 			}
+			if overCap == 0 {
+				t.Fatal("no state check saw the engine over capacity")
+			}
 		})
 	}
 }
@@ -224,7 +263,7 @@ func TestEngineDBFTierCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := machine.New(1, 1, 1, 1)
 	seed := dbf.Set{{WCET: 1, Deadline: 1 << 18, Period: 1 << 18}}
-	e, err := NewConstrained(seed, p, 1, SortedOrder, 4)
+	e, err := newConstrained(seed, p, Options{Alpha: 1, ApproxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +291,14 @@ func TestEngineDBFTierCounts(t *testing.T) {
 	}
 }
 
-// TestEngineDBFArrivalSmoke exercises the ArrivalOrder constrained
+// TestEngineDBFArrivalSmoke exercises the arrival-order constrained
 // engine: local admits, removals and updates with SelfCheck after every
 // mutation (there is no offline reference for arrival order).
 func TestEngineDBFArrivalSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := machine.New(0.5, 1, 2)
 	cur := dbf.Set{{WCET: 1, Deadline: 64, Period: 64}}
-	e, err := NewConstrained(cur, p, 1, ArrivalOrder, 4)
+	e, err := newConstrained(cur, p, Options{Policy: FirstFitArrival(), Alpha: 1, ApproxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,14 +348,14 @@ func TestEngineDBFHorizonError(t *testing.T) {
 		t.Fatalf("fresh FirstFit err = %v, want ErrHorizonTooLarge", err)
 	}
 	for _, k := range []int{0, 4} {
-		if _, err := NewConstrained(ts, plat, 1, SortedOrder, k); !errors.Is(err, dbf.ErrHorizonTooLarge) {
-			t.Fatalf("k=%d: NewConstrained err = %v, want ErrHorizonTooLarge", k, err)
+		if _, err := newConstrained(ts, plat, Options{Alpha: 1, ApproxK: k}); !errors.Is(err, dbf.ErrHorizonTooLarge) {
+			t.Fatalf("k=%d: constrained build err = %v, want ErrHorizonTooLarge", k, err)
 		}
 	}
 
 	// The same candidate offered to a live engine must reject with the
 	// same typed error and leave the engine untouched.
-	e, err := NewConstrained(dbf.Set{t1}, plat, 1, SortedOrder, 4)
+	e, err := newConstrained(dbf.Set{t1}, plat, Options{Alpha: 1, ApproxK: 4})
 	if err != nil {
 		t.Fatalf("single-task engine: %v", err)
 	}
@@ -337,7 +376,7 @@ func TestEngineDBFHorizonError(t *testing.T) {
 func TestEngineDBFValidation(t *testing.T) {
 	p := machine.New(1, 1)
 	seed := dbf.Set{{WCET: 1, Deadline: 100, Period: 100}}
-	e, err := NewConstrained(seed, p, 1, SortedOrder, 4)
+	e, err := newConstrained(seed, p, Options{Alpha: 1, ApproxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +395,10 @@ func TestEngineDBFValidation(t *testing.T) {
 	if _, err := e.PlanRepartition(); err == nil {
 		t.Fatal("PlanRepartition on a constrained engine succeeded")
 	}
-	if _, err := NewConstrained(seed, p, 1, SortedOrder, maxApproxK+10); err != nil {
+	if _, err := newConstrained(seed, p, Options{Alpha: 1, ApproxK: maxApproxK + 10}); err != nil {
 		t.Fatalf("oversized k must clamp, not fail: %v", err)
 	}
-	if _, err := NewConstrained(dbf.Set{}, p, 1, SortedOrder, 4); err == nil {
+	if _, err := newConstrained(dbf.Set{}, p, Options{Alpha: 1, ApproxK: 4}); err == nil {
 		t.Fatal("empty constrained set accepted")
 	}
 }

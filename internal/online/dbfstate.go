@@ -1,8 +1,8 @@
 package online
 
 // Constrained-deadline (DBF) admission for the online engine: the tiered
-// pipeline of ISSUE 7. Engines of kind admDBF are built by NewConstrained
-// and admit through a three-stage probe per machine:
+// pipeline. Engines of kind admDBF are built by NewEngine with
+// Options.Deadlines and admit through a three-stage probe per machine:
 //
 //	tier 1 (density):   O(1) against the machine's cached folds — the
 //	                    utilization pre-check rejects bitwise-identically
@@ -40,7 +40,6 @@ import (
 	"sort"
 
 	"partfeas/internal/dbf"
-	"partfeas/internal/machine"
 	"partfeas/internal/partition"
 	"partfeas/internal/task"
 )
@@ -85,31 +84,20 @@ func validateConstrained(t dbf.Task) error {
 	return nil
 }
 
-// NewConstrained builds an engine for a constrained-deadline task set
-// with tiered DBF admission at augmentation alpha (0 means 1). k is the
-// approximate tier's linearization depth (dbf.ApproxDBF's k, clamped to
-// 64); k ≤ 0 disables the cheap tiers and the envelope entirely, so
-// every probe runs the exact test — the baseline the benchmarks compare
-// the tiers against. In SortedOrder every mutation leaves the engine
-// byte-identical to a fresh dbf.FirstFit(ts, p, alpha, k ≤ 0) solve over
-// the surviving multiset, regardless of which tiers answered.
-//
-// Deprecated: use NewEngine with Options{Policy, Alpha, Deadlines,
-// ApproxK}; this wrapper maps the Order enum onto the equivalent
-// first-fit policies and is equivalent bit-for-bit.
-func NewConstrained(ts dbf.Set, p machine.Platform, alpha float64, ord Order, k int) (*Engine, error) {
-	pol, err := policyForOrder(ord)
-	if err != nil {
-		return nil, err
-	}
-	tts, dls := splitConstrained(ts)
-	return NewEngine(tts, p, Options{Policy: pol, Alpha: alpha, Deadlines: dls, ApproxK: k})
-}
-
 // AdmitConstrained offers one constrained-deadline task. On an
 // implicit-deadline engine the task must itself be implicit (D = P) and
 // is forwarded to Admit.
 func (e *Engine) AdmitConstrained(t dbf.Task) (res partition.Result, admitted bool, err error) {
+	return e.admitConstrained(t, false)
+}
+
+// ForceAdmitConstrained is AdmitConstrained with ForceAdmit's commit
+// semantics.
+func (e *Engine) ForceAdmitConstrained(t dbf.Task) (res partition.Result, ok bool, err error) {
+	return e.admitConstrained(t, true)
+}
+
+func (e *Engine) admitConstrained(t dbf.Task, force bool) (res partition.Result, ok bool, err error) {
 	if verr := validateConstrained(t); verr != nil {
 		return partition.Result{}, false, fmt.Errorf("online: %w", verr)
 	}
@@ -118,9 +106,9 @@ func (e *Engine) AdmitConstrained(t dbf.Task) (res partition.Result, admitted bo
 		if t.Deadline != t.Period {
 			return partition.Result{}, false, fmt.Errorf("online: implicit-deadline engine cannot admit constrained deadline %d < period %d", t.Deadline, t.Period)
 		}
-		return e.Admit(tt)
+		return e.admit(tt, force)
 	}
-	return e.admitOne(tt, t.Deadline)
+	return e.admitOne(tt, t.Deadline, force)
 }
 
 // AdmitBatchConstrained is AdmitBatch for constrained-deadline tasks;

@@ -42,10 +42,22 @@
 //     migration plans that restore it — automatically on a cadence
 //     under the PeriodicRepartition policy wrapper.
 //
-// All mutations are transactional: a mutation that would make the set
-// infeasible is rolled back via an undo journal and the engine stays in
-// its previous (feasible) state, while the caller still receives the
-// failed partition witness a fresh solve would have reported.
+// All mutations are transactional: a mutation that would leave a task
+// unplaced is rolled back via an undo journal and the engine stays in
+// its previous state, while the caller still receives the failed
+// partition witness a fresh solve would have reported.
+//
+// The Force variants (ForceAdmit, ForceRemove, ForceUpdateWCET,
+// ForceAdmitConstrained, NewEngineForce) commit such a result instead:
+// the engine then holds an over-capacity resident set. Under the ordered
+// policy that state is exactly what a fresh sorted solve declares — the
+// prefix before the first task that fits nowhere stays placed, that task
+// and every later one are unplaced — and later edits replay through the
+// same suffix machinery. Under local policies a task that fits nowhere
+// waits, unplaced, in arrival order, and every edit that frees capacity
+// offers the waiting tasks to the policy again, so no waiting task ever
+// fits a machine. A plain mutation of an over-capacity engine commits
+// only when it leaves every task placed.
 package online
 
 import (
@@ -61,36 +73,9 @@ import (
 	"partfeas/internal/task"
 )
 
-// Order selects the sequence tasks are offered to first-fit in.
-//
-// Deprecated: orders generalized to placement policies. SortedOrder is
-// FirstFitSorted() and ArrivalOrder is FirstFitArrival(), bit-for-bit;
-// the Order-taking constructors remain as thin wrappers over NewEngine.
-type Order int
-
-const (
-	// SortedOrder is the paper's utilization-descending order; the
-	// engine's state is always byte-identical to a fresh sorted solve.
-	SortedOrder Order = iota
-	// ArrivalOrder places tasks in admission order and never moves
-	// earlier tasks, trading the paper's guarantee for O(m) mutations.
-	ArrivalOrder
-)
-
-func (o Order) String() string {
-	switch o {
-	case SortedOrder:
-		return "sorted"
-	case ArrivalOrder:
-		return "arrival"
-	default:
-		return fmt.Sprintf("Order(%d)", int(o))
-	}
-}
-
-// ErrInfeasible is returned by New when the initial task set does not
-// partition at the requested augmentation: an engine only represents
-// feasible states.
+// ErrInfeasible is returned by NewEngine when the initial task set does
+// not place at the requested augmentation (NewEngineForce returns the
+// over-capacity engine instead).
 var ErrInfeasible = errors.New("online: initial task set infeasible at this augmentation")
 
 // admKind mirrors the partition solver's fast-path selector; the engine
@@ -102,7 +87,7 @@ const (
 	admLL
 	admHyperbolic
 	// admDBF is the constrained-deadline tiered pipeline (dbfstate.go);
-	// engines of this kind are built by NewConstrained, not New.
+	// engines of this kind are built with Options.Deadlines.
 	admDBF
 )
 
@@ -246,7 +231,14 @@ type Engine struct {
 
 	sorted []int32 // task ids in placement order
 	pos    []int32 // task id → index in sorted (int32: n < 2^31)
-	assign []int32 // task id → machine input index
+	assign []int32 // task id → machine input index; -1 while unplaced
+
+	// unplaced counts the committed state's unplaced tasks (0 unless a
+	// Force variant committed an over-capacity set). Under the ordered
+	// policy they are exactly sorted[len(sorted)-unplaced:]. pendUnplaced
+	// is the in-flight mutation's count, published by commit.
+	unplaced     int
+	pendUnplaced int
 
 	// assignPub mirrors assign as []int for Result, maintained
 	// incrementally at commit time: tasks whose machine changed are
@@ -284,7 +276,7 @@ type Engine struct {
 	// kept in sync with dirtyTheta and cleared lazily at the next begin.
 	thetaPos []float64
 
-	cps      *checkpoints // prefix-state checkpoints (SortedOrder only)
+	cps      *checkpoints // prefix-state checkpoints (ordered policy only)
 	machPool []mach       // retired state triples (see arena.go)
 	batchIDs []int32      // AdmitBatch scratch
 
@@ -316,36 +308,10 @@ type Engine struct {
 	probeErr error   // first exact-test error of the in-flight mutation
 }
 
-// New builds an engine for the task set, platform and admission test at
-// augmentation alpha (0 means 1). Only the solver's incremental
-// admissions are supported (EDF, RMS Liu–Layland, RMS hyperbolic); any
-// other AdmissionTest is rejected. The inputs are copied. If the initial
-// set does not partition, New returns ErrInfeasible: engines represent
-// feasible states only.
-//
-// Deprecated: use NewEngine with Options{Policy, Admission, Alpha};
-// this wrapper maps SortedOrder to FirstFitSorted and ArrivalOrder to
-// FirstFitArrival and is equivalent bit-for-bit.
-func New(ts task.Set, p machine.Platform, adm partition.AdmissionTest, alpha float64, ord Order) (*Engine, error) {
-	pol, err := policyForOrder(ord)
-	if err != nil {
-		return nil, err
-	}
-	return NewEngine(ts, p, Options{Policy: pol, Admission: adm, Alpha: alpha})
-}
-
-// initCommon finishes construction once the kind-specific per-task state
-// (tasks, utils and, for admDBF, dl/dens) is populated: machine order,
-// placement order, state buffers and the initial first-fit placement.
-func (e *Engine) initCommon() error {
-	e.initState()
-	return e.initPlacement()
-}
-
 // initState builds everything that does not depend on where tasks end
 // up: machine scan order, placement order, and the empty state buffers.
-// Restore (restore.go) calls it and then folds recorded placed lists
-// instead of running the first-fit pass.
+// A restore (Options.Placed, restore.go) calls it and then folds the
+// recorded placed lists instead of running the first-fit pass.
 func (e *Engine) initState() {
 	n, m := len(e.tasks), len(e.p)
 	e.speeds = make([]float64, m)
@@ -399,18 +365,28 @@ func (e *Engine) initState() {
 
 // initPlacement runs the initial placement pass in placement order:
 // every machine state is final-so-far, so aggregate tests (one policy
-// Select per task) suffice.
+// Select per task) suffice. A task that fits nowhere is left unplaced;
+// under the ordered policy so is every task after it, as in a fresh
+// solve.
 func (e *Engine) initPlacement() error {
-	for _, id := range e.sorted {
+	for i, id := range e.sorted {
 		chosen := e.selectPlace(id)
 		if err := e.takeProbeErr(); err != nil {
 			return err
 		}
-		if chosen < 0 {
-			return ErrInfeasible
+		if chosen < 0 && e.ordered {
+			for _, rest := range e.sorted[i:] {
+				e.assign[rest], e.assignPub[rest] = -1, -1
+			}
+			e.unplaced = len(e.sorted) - i
+			break
 		}
 		e.assign[id] = int32(chosen)
 		e.assignPub[id] = chosen
+		if chosen < 0 {
+			e.unplaced++
+			continue
+		}
 		e.place(chosen, id)
 	}
 	if e.cps != nil {
@@ -649,7 +625,8 @@ func (e *Engine) selectPlace(id int32) int { return e.pol.Select(View{e: e}, id)
 // public calls (the all-or-nothing batch undo path calls Remove) never
 // fire the hook mid-operation, and a failed repartition (infeasible
 // target) is dropped: the engine's own state is feasible regardless,
-// and the next window retries. exitOp reports whether a repartition
+// and the next window retries. Mutations that leave the engine over
+// capacity neither count nor fire. exitOp reports whether a repartition
 // was applied, so callers re-snapshot their Result only when the hook
 // actually moved tasks — the common no-hook admit path must not pay a
 // second O(m) snapshot.
@@ -657,7 +634,7 @@ func (e *Engine) enterOp() { e.hookDepth++ }
 
 func (e *Engine) exitOp(mutated bool) bool {
 	e.hookDepth--
-	if !mutated || e.hookDepth != 0 || e.repartEvery <= 0 {
+	if !mutated || e.hookDepth != 0 || e.repartEvery <= 0 || e.unplaced > 0 {
 		return false
 	}
 	e.repartCnt++
@@ -696,6 +673,7 @@ func (e *Engine) begin(ed edit) {
 	e.pmax = e.pmax[:0]
 	e.pmaxN = 0
 	e.ed = ed
+	e.pendUnplaced = e.unplaced
 }
 
 // commit closes a successful mutation: the journaled pre-mutation state
@@ -728,6 +706,7 @@ func (e *Engine) commit(from int) {
 	}
 	e.jAssigns = e.jAssigns[:0]
 	e.ed = edit{}
+	e.unplaced = e.pendUnplaced
 	if e.cps != nil {
 		e.cps.rebuildFrom(e, from)
 	}
@@ -1191,9 +1170,12 @@ func (e *Engine) failResult(failID, exclude int) partition.Result {
 // rollback restores the pre-mutation state from the undo journal. The
 // abandoned working buffers of every journaled machine return to the
 // arena; checkpoints were never touched mid-mutation, so they are
-// exact for the restored state as-is.
+// exact for the restored state as-is. Journaled machines are re-keyed in
+// the capacity tree whenever it was fresh at begin or was rebuilt
+// mid-mutation (a policy Select after a splice): a restored machine may
+// have more capacity than its in-flight entry says.
 func (e *Engine) rollback() {
-	refresh := e.edTreeOK && !e.treeOK
+	refresh := e.edTreeOK || e.treeOK
 	for i := range e.jMachs {
 		j := e.jMachs[i].j
 		e.recycleMach(e.machs[j])
@@ -1279,22 +1261,34 @@ func (e *Engine) insertSorted(id int32, k int) {
 // the candidate set. res aliases no engine scratch on rejection; on
 // acceptance it follows Result's aliasing rules.
 func (e *Engine) Admit(t task.Task) (res partition.Result, admitted bool, err error) {
+	return e.admit(t, false)
+}
+
+// ForceAdmit is Admit that always commits: a task that fits nowhere
+// joins the set unplaced (see the package doc). res is the engine's new
+// state and ok reports whether every resident task is placed.
+func (e *Engine) ForceAdmit(t task.Task) (res partition.Result, ok bool, err error) {
+	return e.admit(t, true)
+}
+
+func (e *Engine) admit(t task.Task, force bool) (res partition.Result, ok bool, err error) {
 	if err := t.Validate(); err != nil {
 		return partition.Result{}, false, fmt.Errorf("online: %w", err)
 	}
 	// On a constrained-deadline engine an implicit task is D = P.
 	e.enterOp()
-	res, admitted, err = e.admitOne(t, t.Period)
-	if e.exitOp(admitted && err == nil) {
+	res, ok, err = e.admitOne(t, t.Period, force)
+	if e.exitOp(err == nil && (ok || force)) {
 		res = e.Result() // re-snapshot past the applied repartition
 	}
-	return res, admitted, err
+	return res, ok, err
 }
 
 // admitOne is the shared single-admit body; the caller has validated t
 // (and, for admDBF, the relative deadline d — ignored otherwise).
-func (e *Engine) admitOne(t task.Task, d int64) (res partition.Result, admitted bool, err error) {
+func (e *Engine) admitOne(t task.Task, d int64, force bool) (res partition.Result, admitted bool, err error) {
 	id := int32(len(e.tasks))
+	f := len(e.sorted) - e.unplaced // first unplaced position
 	e.tasks = append(e.tasks, t)
 	e.utils = append(e.utils, t.Utilization())
 	e.assign = append(e.assign, -1)
@@ -1312,43 +1306,142 @@ func (e *Engine) admitOne(t task.Task, d int64) (res partition.Result, admitted 
 	e.insertSorted(id, k)
 	e.recomputePos(k)
 	e.begin(edit{op: opInsert, id: int(id)})
+	e.pendUnplaced++
 
-	if k == len(e.sorted)-1 {
-		// End of the placement order: every machine's current aggregate
-		// is its state at this point, so the policy selects against live
-		// state — for the first-fit policies a single O(log m) capacity
-		// query (plus exact verification).
+	if !e.ordered || e.unplaced == 0 && k == f {
+		// End of the placement order (always, for local policies): every
+		// machine's current aggregate is its state at this point, so the
+		// policy selects against live state — for the first-fit policies
+		// a single O(log m) capacity query (plus exact verification).
 		e.stats = OpStats{Tail: true, ReplayFrom: -1, BatchSize: 1}
 		chosen := e.selectPlace(id)
 		if perr := e.takeProbeErr(); perr != nil {
 			e.rollback()
 			return partition.Result{}, false, fmt.Errorf("online: %w", perr)
 		}
-		if chosen < 0 {
-			res = e.failResult(int(id), -1)
-			e.rollback()
-			return res, false, nil
+		failID := int(id)
+		if chosen >= 0 {
+			e.assignTo(chosen, id)
+			e.pendUnplaced--
+			failID = -1
 		}
-		e.journalAssign(id)
-		e.assign[id] = int32(chosen)
-		e.assignPub[id] = chosen
-		e.place(chosen, id)
-		e.commit(k)
-		return e.Result(), true, nil
+		res, admitted = e.settle(k, failID, -1, force)
+		return res, admitted, nil
 	}
-	e.stats = OpStats{ReplayFrom: k, BatchSize: 1}
-	failID := e.replayFrom(k)
+	from := min(k, f)
+	e.stats = OpStats{ReplayFrom: from, BatchSize: 1}
+	failID := e.replayFrom(from)
 	if perr := e.takeProbeErr(); perr != nil {
 		e.rollback()
 		return partition.Result{}, false, fmt.Errorf("online: %w", perr)
 	}
-	if failID >= 0 {
-		res = e.failResult(failID, -1)
-		e.rollback()
-		return res, false, nil
+	res, admitted = e.settle(from, failID, -1, force)
+	return res, admitted, nil
+}
+
+// assignTo places task id on machine j at the end of the machine's
+// fold. On an over-capacity engine the machine is journaled first: such
+// a mutation may still roll back after placing (a plain mutation that
+// leaves tasks waiting, a probe error in a later retry), while a
+// mutation of a fully placed engine places only as its last step.
+func (e *Engine) assignTo(j int, id int32) {
+	if e.unplaced > 0 && !e.dirtyAt(j) {
+		e.makeDirty(j, len(e.sorted))
 	}
-	e.commit(k)
-	return e.Result(), true, nil
+	e.journalAssign(id)
+	e.assign[id] = int32(j)
+	e.place(j, id)
+}
+
+// retryWaiting offers every waiting (unplaced) task to the policy again,
+// in arrival order, after a local edit freed capacity. It keeps the
+// local-policy invariant that no waiting task fits any machine.
+func (e *Engine) retryWaiting() error {
+	for id := 0; id < len(e.tasks) && e.pendUnplaced > 0; id++ {
+		if e.assign[id] >= 0 {
+			continue
+		}
+		j := e.selectPlace(int32(id))
+		if perr := e.takeProbeErr(); perr != nil {
+			return perr
+		}
+		if j >= 0 {
+			e.assignTo(j, int32(id))
+			e.pendUnplaced--
+		}
+	}
+	return nil
+}
+
+// settle closes a mutation whose in-flight placement is complete. failID
+// is the first task of the ordered policy's placement order left
+// unplaced (-1 when none; local mutations track pendUnplaced instead),
+// and exclude ≥ 0 names a removal in flight. A plain mutation commits
+// only when every task is placed, otherwise it rolls back and res is the
+// rejection witness; a forced one always commits. On commit res is the
+// new state, and ok reports whether every task is placed.
+func (e *Engine) settle(from, failID, exclude int, force bool) (res partition.Result, ok bool) {
+	switch {
+	case !e.ordered:
+		if e.pendUnplaced > 0 && !force {
+			res = e.localResult(exclude)
+			e.rollback()
+			return res, false
+		}
+	case failID < 0:
+		e.pendUnplaced = 0
+	case !force:
+		res = e.failResult(failID, exclude)
+		e.rollback()
+		return res, false
+	default:
+		e.unplaceFrom(int(e.pos[failID]))
+	}
+	e.commit(from)
+	if exclude >= 0 {
+		e.compact(exclude) // after commit: the mirror refresh keys off pre-renumber ids
+	}
+	return e.Result(), e.unplaced == 0
+}
+
+// unplaceFrom commits an ordered failure at placement position at the
+// way a fresh solve declares it: every task from at on is left
+// unplaced, and every machine keeps exactly its folds from before at.
+func (e *Engine) unplaceFrom(at int) {
+	for j := range e.machs {
+		if !e.dirtyAt(j) && e.prefixLen(j, at) < len(e.machs[j].placed) {
+			e.makeDirty(j, at)
+		}
+	}
+	for _, id := range e.sorted[at:] {
+		if e.assign[id] >= 0 {
+			e.journalAssign(id)
+			e.assign[id] = -1
+		}
+	}
+	e.pendUnplaced = len(e.sorted) - at
+}
+
+// localResult is a local-policy mutation's rejection witness: the
+// in-flight placement it would have committed, without task exclude
+// (a removal in flight, later ids compacted) when exclude ≥ 0.
+func (e *Engine) localResult(exclude int) partition.Result {
+	as := make([]int, 0, len(e.tasks))
+	failed := -1
+	for id := range e.tasks {
+		if id == exclude {
+			continue
+		}
+		if e.assign[id] < 0 && failed < 0 {
+			failed = len(as)
+		}
+		as = append(as, int(e.assign[id]))
+	}
+	loads := make([]float64, len(e.p))
+	for j := range e.machs {
+		loads[j] = e.machs[j].load()
+	}
+	return partition.Result{Assignment: as, FailedTask: failed, Loads: loads, Alpha: e.alpha}
 }
 
 // Remove deletes task id (later ids shift down by one, mirroring the
@@ -1357,62 +1450,69 @@ func (e *Engine) admitOne(t task.Task, d int64) (res partition.Result, admitted 
 // monotone under removals, so the shrunken set can fail — in that case
 // the engine rolls back, ok is false, and res is the failed fresh-solve
 // witness for the shrunken set. Under local policies removal is local
-// (the machine's fold is re-closed over the surviving tasks) and always
-// succeeds.
+// (the machine's fold is re-closed over the surviving tasks and waiting
+// tasks are offered the freed capacity).
 func (e *Engine) Remove(id int) (res partition.Result, ok bool, err error) {
+	return e.remove(id, false)
+}
+
+// ForceRemove is Remove that always commits, leaving the shrunken set
+// over capacity when it does not place; ok reports whether it does.
+func (e *Engine) ForceRemove(id int) (res partition.Result, ok bool, err error) {
+	return e.remove(id, true)
+}
+
+func (e *Engine) remove(id int, force bool) (res partition.Result, ok bool, err error) {
 	e.enterOp()
-	res, ok, err = e.removeInner(id)
-	if e.exitOp(ok && err == nil) {
+	res, ok, err = e.removeInner(id, force)
+	if e.exitOp(err == nil && (ok || force)) {
 		res = e.Result() // re-snapshot past the applied repartition
 	}
 	return res, ok, err
 }
 
-func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) {
+func (e *Engine) removeInner(id int, force bool) (res partition.Result, ok bool, err error) {
 	if id < 0 || id >= len(e.tasks) {
 		return partition.Result{}, false, fmt.Errorf("online: Remove task %d out of range [0, %d)", id, len(e.tasks))
 	}
 	if len(e.tasks) == 1 {
 		return partition.Result{}, false, fmt.Errorf("online: cannot remove the last task")
 	}
-	if !e.ordered {
-		// Local removal: close the machine's fold over the survivors.
-		// Every admission aggregate shrinks, so feasibility is preserved
-		// and the operation always commits. sorted is the identity in
-		// this mode, so the order edit is a plain splice too.
-		e.begin(edit{op: opNone})
-		e.stats = OpStats{Tail: true, ReplayFrom: -1}
-		e.sorted = append(e.sorted[:id], e.sorted[id+1:]...)
-		e.recomputePos(id)
-		e.splice(int(e.assign[id]), int32(id))
-		// Commit before compact: the mirror refresh keys off journaled
-		// (pre-renumber) ids, and checkpoints/tree are machine-keyed, so
-		// id renumbering cannot invalidate them.
-		e.commit(id)
-		e.compact(id)
-		return e.Result(), true, nil
-	}
-
 	o := int(e.assign[id])
 	k := int(e.pos[id])
+	f := len(e.sorted) - e.unplaced
 	e.begin(edit{op: opRemove, id: id, kOld: k})
-	e.stats = OpStats{ReplayFrom: k}
 	e.sorted = append(e.sorted[:k], e.sorted[k+1:]...)
 	e.recomputePos(k)
-	e.makeDirty(o, k) // drops id and every later entry on its machine
-	failID := e.replayFrom(k)
+	if !e.ordered {
+		// Local removal: close the machine's fold over the survivors, then
+		// offer the freed capacity to the waiting tasks.
+		e.stats = OpStats{Tail: true, ReplayFrom: -1}
+		if o < 0 {
+			e.pendUnplaced--
+		} else {
+			e.splice(o, int32(id))
+			if perr := e.retryWaiting(); perr != nil {
+				e.rollback()
+				return partition.Result{}, false, fmt.Errorf("online: %w", perr)
+			}
+		}
+		res, ok = e.settle(k, -1, id, force)
+		return res, ok, nil
+	}
+
+	if o >= 0 {
+		e.makeDirty(o, k) // drops id and every later entry on its machine
+	}
+	from := min(k, f)
+	e.stats = OpStats{ReplayFrom: from}
+	failID := e.replayFrom(from)
 	if perr := e.takeProbeErr(); perr != nil {
 		e.rollback()
 		return partition.Result{}, false, fmt.Errorf("online: %w", perr)
 	}
-	if failID >= 0 {
-		res = e.failResult(failID, id)
-		e.rollback()
-		return res, false, nil
-	}
-	e.commit(k) // before compact; see the ArrivalOrder branch
-	e.compact(id)
-	return e.Result(), true, nil
+	res, ok = e.settle(from, failID, id, force)
+	return res, ok, nil
 }
 
 // UpdateWCET changes task id's worst-case execution time. Under the
@@ -1421,18 +1521,30 @@ func (e *Engine) removeInner(id int) (res partition.Result, ok bool, err error) 
 // updated multiset; on infeasibility the change is rolled back (ok
 // false) and res is the failed fresh-solve witness for the updated set.
 // Under local policies the task is re-admitted against current
-// aggregates via the policy's Select; if no machine fits it the change
-// rolls back likewise.
+// aggregates via the policy's Select (and waiting tasks are offered any
+// capacity it freed); if a task is left unplaced the change rolls back
+// likewise.
 func (e *Engine) UpdateWCET(id int, wcet int64) (res partition.Result, ok bool, err error) {
+	return e.updateWCET(id, wcet, false)
+}
+
+// ForceUpdateWCET is UpdateWCET that always commits, leaving the
+// updated set over capacity when it does not place; ok reports whether
+// it does.
+func (e *Engine) ForceUpdateWCET(id int, wcet int64) (res partition.Result, ok bool, err error) {
+	return e.updateWCET(id, wcet, true)
+}
+
+func (e *Engine) updateWCET(id int, wcet int64, force bool) (res partition.Result, ok bool, err error) {
 	e.enterOp()
-	res, ok, err = e.updateWCETInner(id, wcet)
-	if e.exitOp(ok && err == nil) {
+	res, ok, err = e.updateWCETInner(id, wcet, force)
+	if e.exitOp(err == nil && (ok || force)) {
 		res = e.Result() // re-snapshot past the applied repartition
 	}
 	return res, ok, err
 }
 
-func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok bool, err error) {
+func (e *Engine) updateWCETInner(id int, wcet int64, force bool) (res partition.Result, ok bool, err error) {
 	if id < 0 || id >= len(e.tasks) {
 		return partition.Result{}, false, fmt.Errorf("online: UpdateWCET task %d out of range [0, %d)", id, len(e.tasks))
 	}
@@ -1443,51 +1555,11 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 		return partition.Result{}, false, fmt.Errorf("online: UpdateWCET wcet %d exceeds deadline %d (constrained model)", wcet, e.dl[id])
 	}
 	if wcet == e.tasks[id].WCET {
-		return e.Result(), true, nil
+		return e.Result(), e.unplaced == 0, nil
 	}
 	o := e.assign[id]
-	if !e.ordered {
-		// Local re-admission: splice the task out of its machine's fold,
-		// then re-select against current aggregates via the policy. The
-		// placement order (arrival order) is untouched either way.
-		e.begin(edit{op: opNone})
-		e.stats = OpStats{Tail: true, ReplayFrom: -1}
-		oldWCET, oldUtil := e.tasks[id].WCET, e.utils[id]
-		var oldDens float64
-		e.tasks[id].WCET = wcet
-		e.utils[id] = e.tasks[id].Utilization()
-		if e.kind == admDBF {
-			oldDens = e.dens[id]
-			e.dens[id] = float64(wcet) / float64(e.dl[id])
-		}
-		undo := func() {
-			e.tasks[id].WCET = oldWCET
-			e.utils[id] = oldUtil
-			if e.kind == admDBF {
-				e.dens[id] = oldDens
-			}
-		}
-		e.splice(int(o), int32(id))
-		e.journalAssign(int32(id))
-		chosen := e.selectPlace(int32(id))
-		if perr := e.takeProbeErr(); perr != nil {
-			undo()
-			e.rollback()
-			return partition.Result{}, false, fmt.Errorf("online: %w", perr)
-		}
-		if chosen < 0 {
-			res = e.arrivalFailResult(id)
-			undo()
-			e.rollback()
-			return res, false, nil
-		}
-		e.assign[id] = int32(chosen)
-		e.place(chosen, int32(id))
-		e.commit(0)
-		return e.Result(), true, nil
-	}
-
 	kOld := int(e.pos[id])
+	f := len(e.sorted) - e.unplaced
 	ed := edit{op: opUpdate, id: id, kOld: kOld, oldWCET: e.tasks[id].WCET, oldUtil: e.utils[id]}
 	if e.kind == admDBF {
 		ed.oldDens = e.dens[id]
@@ -1498,34 +1570,57 @@ func (e *Engine) updateWCETInner(id int, wcet int64) (res partition.Result, ok b
 	if e.kind == admDBF {
 		e.dens[id] = float64(wcet) / float64(e.dl[id])
 	}
+	if !e.ordered {
+		// Local re-admission: splice the task out of its machine's fold,
+		// re-select against current aggregates via the policy, then offer
+		// any freed capacity to the waiting tasks. The placement order
+		// (arrival order) is untouched either way.
+		e.stats = OpStats{Tail: true, ReplayFrom: -1}
+		if o >= 0 {
+			e.splice(int(o), int32(id))
+			e.journalAssign(int32(id))
+			e.assign[id] = -1
+			e.pendUnplaced++
+		}
+		chosen := e.selectPlace(int32(id))
+		perr := e.takeProbeErr()
+		if perr == nil && chosen >= 0 {
+			e.assignTo(chosen, int32(id))
+			e.pendUnplaced--
+		}
+		if perr == nil {
+			perr = e.retryWaiting()
+		}
+		if perr != nil {
+			e.rollback()
+			return partition.Result{}, false, fmt.Errorf("online: %w", perr)
+		}
+		res, ok = e.settle(0, -1, -1, force)
+		return res, ok, nil
+	}
 
 	e.sorted = append(e.sorted[:kOld], e.sorted[kOld+1:]...)
 	kNew := sort.Search(len(e.sorted), func(i int) bool { return e.less(int32(id), e.sorted[i]) })
 	e.insertSorted(int32(id), kNew)
-	k := kOld
-	if kNew < k {
-		k = kNew
-	}
-	e.stats = OpStats{ReplayFrom: k}
+	k := min(kOld, kNew)
 	e.recomputePos(k)
-	e.makeDirty(int(o), k)
-	failID := e.replayFrom(k)
+	if o >= 0 {
+		e.makeDirty(int(o), k)
+	}
+	from := min(k, f)
+	e.stats = OpStats{ReplayFrom: from}
+	failID := e.replayFrom(from)
 	if perr := e.takeProbeErr(); perr != nil {
 		e.rollback()
 		return partition.Result{}, false, fmt.Errorf("online: %w", perr)
 	}
-	if failID >= 0 {
-		res = e.failResult(failID, -1)
-		e.rollback()
-		return res, false, nil
-	}
-	e.commit(k)
-	return e.Result(), true, nil
+	res, ok = e.settle(from, failID, -1, force)
+	return res, ok, nil
 }
 
 // splice removes task id from machine j's fold locally, journaling j and
-// re-closing the cumulative folds over the surviving tasks (ArrivalOrder
-// only; sorted-order removals go through the replay).
+// re-closing the cumulative folds over the surviving tasks (local
+// policies only; sorted-order removals go through the replay).
 func (e *Engine) splice(j int, id int32) {
 	mc := &e.machs[j]
 	e.jMachs = append(e.jMachs, machSnap{j: j, mc: *mc})
@@ -1557,22 +1652,6 @@ func (e *Engine) splice(j int, id int32) {
 	}
 	e.noteDirty(j)
 	e.treeOK = false
-}
-
-// arrivalFailResult is the rejection witness for a local (ArrivalOrder)
-// mutation: every other task keeps its current machine, the failing task
-// is unplaced, loads are the current folds without it.
-func (e *Engine) arrivalFailResult(failID int) partition.Result {
-	as := make([]int, len(e.tasks))
-	for id := range as {
-		as[id] = int(e.assign[id])
-	}
-	as[failID] = -1
-	loads := make([]float64, len(e.p))
-	for j := range e.machs {
-		loads[j] = e.machs[j].load()
-	}
-	return partition.Result{Assignment: as, FailedTask: failID, Loads: loads, Alpha: e.alpha}
 }
 
 // compact renumbers task ids after a successful removal of r: ids above
@@ -1613,38 +1692,46 @@ func (e *Engine) compact(r int) {
 	}
 }
 
-// Result snapshots the engine's current (feasible) state. Assignment and
+// Result snapshots the engine's current state. An over-capacity state
+// reports Feasible false with FailedTask the first unplaced task (in
+// placement order; arrival order under local policies). Assignment and
 // Loads alias engine-owned buffers and are only valid until the next
 // mutation; use Result.Clone to retain one.
 func (e *Engine) Result() partition.Result {
 	for j := range e.machs {
 		e.loadsBuf[j] = e.machs[j].load()
 	}
-	return partition.Result{
-		Feasible:   true,
+	res := partition.Result{
+		Feasible:   e.unplaced == 0,
 		Assignment: e.assignPub,
 		FailedTask: -1,
 		Loads:      e.loadsBuf,
 		Alpha:      e.alpha,
 	}
+	switch {
+	case e.unplaced == 0:
+	case e.ordered:
+		res.FailedTask = int(e.sorted[len(e.sorted)-e.unplaced])
+	default:
+		for id, j := range e.assignPub {
+			if j < 0 {
+				res.FailedTask = id
+				break
+			}
+		}
+	}
+	return res
 }
+
+// Feasible reports whether every resident task is placed, i.e. whether
+// the engine holds no over-capacity set.
+func (e *Engine) Feasible() bool { return e.unplaced == 0 }
 
 // Len returns the number of resident tasks.
 func (e *Engine) Len() int { return len(e.tasks) }
 
 // Alpha returns the fixed augmentation every decision is made at.
 func (e *Engine) Alpha() float64 { return e.alpha }
-
-// OrderMode returns the engine's placement order.
-//
-// Deprecated: orders generalized to policies; use PlacementPolicy.
-// Every local policy reports ArrivalOrder.
-func (e *Engine) OrderMode() Order {
-	if e.ordered {
-		return SortedOrder
-	}
-	return ArrivalOrder
-}
 
 // PlacementPolicy returns the engine's placement policy.
 func (e *Engine) PlacementPolicy() Policy { return e.pol }
@@ -1655,10 +1742,13 @@ func (e *Engine) Tasks() task.Set { return e.tasks.Clone() }
 // SelfCheck verifies the engine's internal invariants: the placement
 // order is a valid permutation sorted by the order relation, positions
 // invert it, every task sits on exactly one machine matching its
-// assignment, placed lists are position-ordered (SortedOrder), every
-// cumulative fold re-derives bit-identically, and every machine's final
-// state satisfies its admission bound. It is O(n log n + n·m) and meant
-// for tests and debugging, not the hot path.
+// assignment, placed lists are position-ordered (ordered policy), every
+// cumulative fold re-derives bit-identically, every machine's final
+// state satisfies its admission bound, and unplaced tasks are where the
+// over-capacity semantics put them: the ordered policy's are a suffix of
+// the order whose first task fits no machine, and no local policy's
+// waiting task fits any machine. It is O(n log n + n·m) and meant for
+// tests and debugging, not the hot path.
 func (e *Engine) SelfCheck() error {
 	n := len(e.tasks)
 	if len(e.utils) != n || len(e.assign) != n || len(e.pos) != n || len(e.sorted) != n {
@@ -1721,6 +1811,10 @@ func (e *Engine) SelfCheck() error {
 			}
 		}
 	}
+	if len(e.assignPub) != n {
+		return fmt.Errorf("online: assignPub length %d, want %d", len(e.assignPub), n)
+	}
+	unplaced := 0
 	for id := 0; id < n; id++ {
 		if placedOn[id] != int(e.assign[id]) {
 			return fmt.Errorf("online: task %d assigned to %d but placed on %d", id, e.assign[id], placedOn[id])
@@ -1728,9 +1822,31 @@ func (e *Engine) SelfCheck() error {
 		if e.assignPub[id] != int(e.assign[id]) {
 			return fmt.Errorf("online: task %d assignPub %d out of sync with assign %d", id, e.assignPub[id], e.assign[id])
 		}
+		if e.assign[id] >= 0 {
+			continue
+		}
+		unplaced++
+		if e.ordered && int(e.pos[id]) < n-e.unplaced {
+			return fmt.Errorf("online: task %d at position %d unplaced before the failure point %d", id, e.pos[id], n-e.unplaced)
+		}
+		if !e.ordered || int(e.pos[id]) == n-e.unplaced {
+			for j := range e.machs {
+				fits := e.fitsAgg(j, int32(id))
+				if e.takeProbeErr() == nil && fits {
+					return fmt.Errorf("online: unplaced task %d fits machine %d", id, j)
+				}
+			}
+		}
 	}
-	if len(e.assignPub) != n {
-		return fmt.Errorf("online: assignPub length %d, want %d", len(e.assignPub), n)
+	if unplaced != e.unplaced {
+		return fmt.Errorf("online: %d tasks unplaced, engine counts %d", unplaced, e.unplaced)
+	}
+	if e.treeOK { // a fresh capacity tree may over-estimate, never under-estimate
+		for pp, j := range e.machIdx {
+			if leaf := e.tree.max[e.tree.size+pp]; leaf < e.nextCap(j) {
+				return fmt.Errorf("online: capacity tree under-estimates machine %d: %v < %v", j, leaf, e.nextCap(j))
+			}
+		}
 	}
 	if e.cps != nil {
 		// Checkpoints must be exact between mutations: entry c holds every
@@ -1751,7 +1867,9 @@ func (e *Engine) SelfCheck() error {
 			if i == n {
 				break
 			}
-			cnt[e.assign[e.sorted[i]]]++
+			if j := e.assign[e.sorted[i]]; j >= 0 {
+				cnt[j]++
+			}
 		}
 	}
 	if e.kind == admDBF {

@@ -76,32 +76,45 @@ func freshArrival(t *testing.T, ts task.Set, p machine.Platform, adm partition.A
 	return res
 }
 
-// TestEngineSortedDifferential is the tentpole's acceptance test: over
-// randomized admit/remove/update sequences, every SortedOrder engine
-// decision — acceptance, rejection witness, assignment, and per-machine
-// load bits — must be identical to a fresh sorted first-fit Solve(alpha)
-// over the same surviving task multiset. The test mirrors the multiset
-// independently and solves it from scratch after every operation.
+// TestEngineSortedDifferential is the engine's acceptance test: over
+// randomized admit/remove/update/batch sequences, every FirstFitSorted
+// engine decision — acceptance, rejection witness, assignment, and
+// per-machine load bits — must be identical to a fresh sorted first-fit
+// Solve(alpha) over the same task multiset. The test mirrors the
+// multiset independently and solves it from scratch after every
+// operation. The scripts start from random (possibly infeasible) sets
+// and mix in the Force variants, so the engine spends long stretches
+// over capacity, where every answer must still be the fresh solve's.
 func TestEngineSortedDifferential(t *testing.T) {
 	for _, adm := range testAdmissions {
 		adm := adm
 		t.Run(adm.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(adm.Name())) * 104729))
+			overCap := 0
 			for inst := 0; inst < 12; inst++ {
 				p := randPlatform(rng)
 				alpha := []float64{1, 1, 1.5, 2.5}[rng.Intn(4)]
 				cur := task.Set{{WCET: 1, Period: 1 << 20}} // near-zero seed task
-				e, err := New(cur, p, adm, alpha, SortedOrder)
+				for i := rng.Intn(2 * len(p)); i > 0; i-- {
+					cur = append(cur, randTask(rng))
+				}
+				e, err := NewEngineForce(cur, p, Options{Admission: adm, Alpha: alpha})
 				if err != nil {
 					t.Fatalf("inst %d: seed engine: %v", inst, err)
 				}
+				sameResult(t, "seed", e.Result().Clone(), freshSorted(t, cur, p, adm, alpha))
 				for op := 0; op < 120; op++ {
-					switch k := rng.Intn(10); {
+					force := rng.Intn(4) == 0
+					switch k := rng.Intn(12); {
 					case k < 5: // admit
 						tk := randTask(rng)
 						candidate := append(cur.Clone(), tk)
 						want := freshSorted(t, candidate, p, adm, alpha)
-						res, admitted, err := e.Admit(tk)
+						admit := e.Admit
+						if force {
+							admit = e.ForceAdmit
+						}
+						res, admitted, err := admit(tk)
 						if err != nil {
 							t.Fatalf("inst %d op %d: Admit: %v", inst, op, err)
 						}
@@ -109,14 +122,18 @@ func TestEngineSortedDifferential(t *testing.T) {
 							t.Fatalf("inst %d op %d: Admit=%v, fresh solve feasible=%v", inst, op, admitted, want.Feasible)
 						}
 						sameResult(t, "admit", res.Clone(), want)
-						if admitted {
+						if admitted || force {
 							cur = candidate
 						}
 					case k < 7 && len(cur) > 1: // remove
 						id := rng.Intn(len(cur))
 						shrunken := append(cur[:id:id].Clone(), cur[id+1:]...)
 						want := freshSorted(t, shrunken, p, adm, alpha)
-						res, ok, err := e.Remove(id)
+						remove := e.Remove
+						if force {
+							remove = e.ForceRemove
+						}
+						res, ok, err := remove(id)
 						if err != nil {
 							t.Fatalf("inst %d op %d: Remove: %v", inst, op, err)
 						}
@@ -124,16 +141,20 @@ func TestEngineSortedDifferential(t *testing.T) {
 							t.Fatalf("inst %d op %d: Remove=%v, fresh solve feasible=%v", inst, op, ok, want.Feasible)
 						}
 						sameResult(t, "remove", res.Clone(), want)
-						if ok {
+						if ok || force {
 							cur = shrunken
 						}
-					default: // update WCET
+					case k < 10: // update WCET: forced ones raise it, plain ones may lower it
 						id := rng.Intn(len(cur))
 						wcet := 1 + rng.Int63n(cur[id].Period)
 						updated := cur.Clone()
 						updated[id].WCET = wcet
 						want := freshSorted(t, updated, p, adm, alpha)
-						res, ok, err := e.UpdateWCET(id, wcet)
+						update := e.UpdateWCET
+						if force {
+							update = e.ForceUpdateWCET
+						}
+						res, ok, err := update(id, wcet)
 						if err != nil {
 							t.Fatalf("inst %d op %d: UpdateWCET: %v", inst, op, err)
 						}
@@ -141,26 +162,79 @@ func TestEngineSortedDifferential(t *testing.T) {
 							t.Fatalf("inst %d op %d: UpdateWCET=%v, fresh solve feasible=%v", inst, op, ok, want.Feasible)
 						}
 						sameResult(t, "update", res.Clone(), want)
-						if ok {
+						if ok || force {
 							cur = updated
 						}
+					default: // batch admit, either mode
+						batch := make(task.Set, 2+rng.Intn(3))
+						for i := range batch {
+							batch[i] = randTask(rng)
+						}
+						mode := BatchMode(rng.Intn(2))
+						res, admitted, err := e.AdmitBatch(batch, mode)
+						if err != nil {
+							t.Fatalf("inst %d op %d: AdmitBatch: %v", inst, op, err)
+						}
+						// Reference: all-or-nothing tests the union once;
+						// best-effort admits in input order whatever
+						// leaves the set placed.
+						wantAdm := make([]bool, len(batch))
+						var want partition.Result
+						if mode == AllOrNothing {
+							union := append(cur.Clone(), batch...)
+							want = freshSorted(t, union, p, adm, alpha)
+							for i := range wantAdm {
+								wantAdm[i] = want.Feasible
+							}
+							if want.Feasible {
+								cur = union
+							}
+						} else {
+							any := false
+							for i, tk := range batch {
+								cand := append(cur.Clone(), tk)
+								r := freshSorted(t, cand, p, adm, alpha)
+								if r.Feasible {
+									cur, wantAdm[i], any = cand, true, true
+								} else {
+									want = r
+								}
+							}
+							if any {
+								want = freshSorted(t, cur, p, adm, alpha)
+							}
+						}
+						if !reflect.DeepEqual(admitted, wantAdm) {
+							t.Fatalf("inst %d op %d: %v batch admitted %v, want %v", inst, op, mode, admitted, wantAdm)
+						}
+						sameResult(t, "batch", res.Clone(), want)
 					}
 					if err := e.SelfCheck(); err != nil {
 						t.Fatalf("inst %d op %d: %v", inst, op, err)
 					}
 					// After a rejection the engine must still equal the
 					// fresh solve of the surviving multiset.
-					sameResult(t, "state", e.Result().Clone(), freshSorted(t, cur, p, adm, alpha))
+					state := freshSorted(t, cur, p, adm, alpha)
+					sameResult(t, "state", e.Result().Clone(), state)
+					if e.Feasible() != state.Feasible {
+						t.Fatalf("inst %d op %d: Feasible() = %v, fresh %v", inst, op, e.Feasible(), state.Feasible)
+					}
+					if !state.Feasible {
+						overCap++
+					}
 					if !reflect.DeepEqual(e.Tasks(), cur) {
 						t.Fatalf("inst %d op %d: resident tasks diverged", inst, op)
 					}
 				}
 			}
+			if overCap < 100 {
+				t.Fatalf("only %d ops left the engine over capacity; the script barely tests it", overCap)
+			}
 		})
 	}
 }
 
-// TestEngineArrivalAdmitDifferential holds ArrivalOrder pure-admit
+// TestEngineArrivalAdmitDifferential holds arrival-order pure-admit
 // sequences byte-identical to the TasksAsGiven ablation solve: with no
 // removals or updates, placing each arrival against live aggregates is
 // exactly first-fit in input order.
@@ -172,7 +246,7 @@ func TestEngineArrivalAdmitDifferential(t *testing.T) {
 			for inst := 0; inst < 12; inst++ {
 				p := randPlatform(rng)
 				cur := task.Set{{WCET: 1, Period: 1 << 20}}
-				e, err := New(cur, p, adm, 1, ArrivalOrder)
+				e, err := NewEngine(cur, p, Options{Policy: FirstFitArrival(), Admission: adm, Alpha: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +274,7 @@ func TestEngineArrivalAdmitDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineArrivalMixedOps exercises ArrivalOrder under the full
+// TestEngineArrivalMixedOps exercises arrival-order under the full
 // mutation mix. Arrival placements depend on history, so there is no
 // closed-form oracle; the invariants are that every operation keeps the
 // engine self-consistent (bit-exact folds, one machine per task) and
@@ -214,7 +288,7 @@ func TestEngineArrivalMixedOps(t *testing.T) {
 			for inst := 0; inst < 10; inst++ {
 				p := randPlatform(rng)
 				cur := task.Set{{WCET: 1, Period: 1 << 20}}
-				e, err := New(cur, p, adm, 1, ArrivalOrder)
+				e, err := NewEngine(cur, p, Options{Policy: FirstFitArrival(), Admission: adm, Alpha: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +345,7 @@ func requireUnchanged(t *testing.T, e *Engine, before partition.Result, beforeTa
 func TestEngineRejectionWitness(t *testing.T) {
 	p := machine.New(1)
 	cur := task.Set{{WCET: 3, Period: 10}, {WCET: 2, Period: 10}}
-	e, err := New(cur, p, partition.EDFAdmission{}, 1, SortedOrder)
+	e, err := NewEngine(cur, p, Options{Admission: partition.EDFAdmission{}, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,19 +370,16 @@ func TestEngineRejectionWitness(t *testing.T) {
 func TestEngineInputValidation(t *testing.T) {
 	p := machine.New(1)
 	ts := task.Set{{WCET: 1, Period: 10}}
-	if _, err := New(ts, p, partition.RMSExactAdmission{}, 1, SortedOrder); err == nil {
+	if _, err := NewEngine(ts, p, Options{Admission: partition.RMSExactAdmission{}, Alpha: 1}); err == nil {
 		t.Fatal("generic admission must be rejected")
 	}
-	if _, err := New(ts, p, partition.EDFAdmission{}, -1, SortedOrder); err == nil {
+	if _, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}, Alpha: -1}); err == nil {
 		t.Fatal("negative alpha must be rejected")
 	}
-	if _, err := New(ts, p, partition.EDFAdmission{}, 1, Order(9)); err == nil {
-		t.Fatal("unknown order must be rejected")
-	}
-	if _, err := New(task.Set{{WCET: 20, Period: 10}}, p, partition.EDFAdmission{}, 1, SortedOrder); err != ErrInfeasible {
+	if _, err := NewEngine(task.Set{{WCET: 20, Period: 10}}, p, Options{Admission: partition.EDFAdmission{}, Alpha: 1}); err != ErrInfeasible {
 		t.Fatal("infeasible seed must return ErrInfeasible")
 	}
-	e, err := New(ts, p, partition.EDFAdmission{}, 0, SortedOrder)
+	e, err := NewEngine(ts, p, Options{Admission: partition.EDFAdmission{}, Alpha: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package online
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -11,10 +10,9 @@ import (
 	"partfeas/internal/task"
 )
 
-// Options configures NewEngine, collapsing the former constructor
-// sprawl (New / NewConstrained / Restore / RestoreConstrained) into one
-// declarative surface. The zero value is the paper's engine: sorted
-// first-fit, EDF-class admission supplied via Admission, alpha 1.
+// Options configures NewEngine and NewEngineForce. The zero value is the
+// paper's engine: sorted first-fit, EDF-class admission supplied via
+// Admission, alpha 1.
 type Options struct {
 	// Policy is the placement policy; nil means FirstFitSorted (the
 	// paper's order, the only policy with the sorted-solve guarantee).
@@ -44,11 +42,12 @@ type Options struct {
 	// Placed, when non-nil, restores a previously captured placement
 	// (Tasks() + PlacedLists()) instead of running the initial
 	// placement pass: each machine's recorded list is refolded verbatim
-	// with every placement re-verified against the admission bound, so
-	// corrupted snapshots are rejected. Only local (non-ordered)
-	// policies consult it — an ordered engine's state is a pure
-	// function of the multiset, so it is rebuilt fresh and Placed is
-	// ignored.
+	// with every placement re-verified against the admission bound, and
+	// every task the lists leave out must fit no machine (an
+	// over-capacity engine's waiting tasks), so corrupted snapshots are
+	// rejected. Only local (non-ordered) policies consult it — an
+	// ordered engine's state is a pure function of the multiset, so it
+	// is rebuilt fresh and Placed is ignored.
 	Placed [][]int32
 
 	// RepartCnt restores the PeriodicRepartition cadence counter
@@ -63,9 +62,20 @@ type Options struct {
 
 // NewEngine builds an engine for the task set and platform under opts.
 // The inputs are copied. If the initial set does not place under the
-// policy, NewEngine returns ErrInfeasible: engines represent feasible
-// states only.
+// policy, NewEngine returns ErrInfeasible and no engine.
 func NewEngine(ts task.Set, p machine.Platform, opts Options) (*Engine, error) {
+	e, err := NewEngineForce(ts, p, opts)
+	if err == nil && e.unplaced > 0 {
+		return nil, ErrInfeasible
+	}
+	return e, err
+}
+
+// NewEngineForce is NewEngine that keeps a set which does not place: the
+// engine starts over capacity (see the package doc) and Feasible
+// reports false. Errors are reserved for malformed inputs and
+// constrained-deadline analysis failures.
+func NewEngineForce(ts task.Set, p machine.Platform, opts Options) (*Engine, error) {
 	pol := opts.Policy
 	if pol == nil {
 		pol = FirstFitSorted()
@@ -156,27 +166,8 @@ func NewEngine(ts task.Set, p machine.Platform, opts Options) (*Engine, error) {
 		return e, nil
 	}
 	if err := e.initPlacement(); err != nil {
-		// The constrained pipeline's exact-tier probes can error;
-		// ErrInfeasible passes through bare, probe errors gain the
-		// package prefix (the constrained constructor's historical
-		// wrapping).
-		if constrained && !errors.Is(err, ErrInfeasible) {
-			return nil, fmt.Errorf("online: %w", err)
-		}
-		return nil, err
+		// The constrained pipeline's exact-tier probes can error.
+		return nil, fmt.Errorf("online: %w", err)
 	}
 	return e, nil
-}
-
-// policyForOrder maps the deprecated Order enum onto the policies that
-// reproduce it bit-for-bit.
-func policyForOrder(ord Order) (Policy, error) {
-	switch ord {
-	case SortedOrder:
-		return FirstFitSorted(), nil
-	case ArrivalOrder:
-		return FirstFitArrival(), nil
-	default:
-		return nil, fmt.Errorf("online: unknown order %v", ord)
-	}
 }

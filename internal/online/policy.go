@@ -93,24 +93,24 @@ type firstFitSorted struct{}
 
 // FirstFitSorted returns the paper's sorted first-fit policy — the only
 // ordered policy, and the default. Engines under it are byte-identical
-// to fresh sorted solves (the pre-Policy SortedOrder behavior).
+// to fresh sorted solves (the pre-Policy sorted-order behavior).
 func FirstFitSorted() Policy { return firstFitSorted{} }
 
-func (firstFitSorted) Name() string              { return "first_fit_sorted" }
-func (firstFitSorted) Ordered() bool             { return true }
+func (firstFitSorted) Name() string                { return "first_fit_sorted" }
+func (firstFitSorted) Ordered() bool               { return true }
 func (firstFitSorted) Select(v View, id int32) int { return v.FirstFit(id) }
 
 // firstFitArrival places each task on the first machine that admits it,
 // in arrival order, never revisiting earlier placements — the
-// pre-Policy ArrivalOrder behavior.
+// pre-Policy arrival-order behavior.
 type firstFitArrival struct{}
 
 // FirstFitArrival returns local first-fit in arrival order (the
-// pre-Policy ArrivalOrder behavior, byte-identical).
+// pre-Policy arrival-order behavior, byte-identical).
 func FirstFitArrival() Policy { return firstFitArrival{} }
 
-func (firstFitArrival) Name() string              { return "first_fit_arrival" }
-func (firstFitArrival) Ordered() bool             { return false }
+func (firstFitArrival) Name() string                { return "first_fit_arrival" }
+func (firstFitArrival) Ordered() bool               { return false }
 func (firstFitArrival) Select(v View, id int32) int { return v.FirstFit(id) }
 
 // bestFit packs tightly: among admitting machines, the one with the
@@ -251,7 +251,7 @@ func (p periodicRepartition) Name() string {
 	return p.inner.Name() + "+repartition_" + strconv.Itoa(p.every)
 }
 
-func (p periodicRepartition) Ordered() bool             { return false }
+func (p periodicRepartition) Ordered() bool               { return false }
 func (p periodicRepartition) Select(v View, id int32) int { return p.inner.Select(v, id) }
 
 // repartitionEvery is the unexported marker NewEngine uses to arm the

@@ -78,86 +78,6 @@ func TestPolicyNameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWrapperEquivalence: the deprecated Order-enum constructors are
-// bit-identical to NewEngine with the corresponding first-fit policy,
-// across admissions, orders and randomized mutation sequences.
-func TestWrapperEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, adm := range testAdmissions {
-		for _, ord := range []Order{SortedOrder, ArrivalOrder} {
-			pol := FirstFitSorted()
-			if ord == ArrivalOrder {
-				pol = FirstFitArrival()
-			}
-			for inst := 0; inst < 5; inst++ {
-				p := randPlatform(rng)
-				seed := task.Set{randTask(rng)}
-				old, errOld := New(seed, p, adm, 1, ord)
-				neu, errNew := NewEngine(seed, p, Options{Policy: pol, Admission: adm})
-				if (errOld == nil) != (errNew == nil) {
-					t.Fatalf("%s/%v: construction diverged: %v vs %v", adm.Name(), ord, errOld, errNew)
-				}
-				if errOld != nil {
-					continue
-				}
-				for op := 0; op < 60; op++ {
-					opRng := rand.New(rand.NewSource(int64(inst*1000 + op)))
-					switch opRng.Intn(3) {
-					case 0:
-						tk := randTask(opRng)
-						_, okO, errO := old.Admit(tk)
-						_, okN, errN := neu.Admit(tk)
-						if okO != okN || (errO == nil) != (errN == nil) {
-							t.Fatalf("%s/%v op %d: Admit diverged", adm.Name(), ord, op)
-						}
-					case 1:
-						if old.Len() < 2 {
-							continue
-						}
-						id := opRng.Intn(old.Len())
-						_, okO, _ := old.Remove(id)
-						_, okN, _ := neu.Remove(id)
-						if okO != okN {
-							t.Fatalf("%s/%v op %d: Remove diverged", adm.Name(), ord, op)
-						}
-					default:
-						id := opRng.Intn(old.Len())
-						w := 1 + opRng.Int63n(old.tasks[id].Period)
-						_, okO, _ := old.UpdateWCET(id, w)
-						_, okN, _ := neu.UpdateWCET(id, w)
-						if okO != okN {
-							t.Fatalf("%s/%v op %d: UpdateWCET diverged", adm.Name(), ord, op)
-						}
-					}
-					sameEngineState(t, adm.Name(), neu, old)
-				}
-			}
-		}
-	}
-}
-
-// TestRestoreWrapperEquivalence: Restore == NewEngine{Placed}.
-func TestRestoreWrapperEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	adm := testAdmissions[0]
-	p := randPlatform(rng)
-	e, err := New(task.Set{randTask(rng)}, p, adm, 1, ArrivalOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		e.Admit(randTask(rng))
-	}
-	ts, placed := e.Tasks(), e.PlacedLists()
-	old, errOld := Restore(ts, p, adm, 1, ArrivalOrder, placed)
-	neu, errNew := NewEngine(ts, p, Options{Policy: FirstFitArrival(), Admission: adm, Placed: placed})
-	if errOld != nil || errNew != nil {
-		t.Fatalf("restore: %v / %v", errOld, errNew)
-	}
-	sameEngineState(t, "restore", neu, old)
-	sameEngineState(t, "restore vs original", neu, e)
-}
-
 // TestNewEngineValidation: the Options surface rejects malformed input
 // with actionable errors.
 func TestNewEngineValidation(t *testing.T) {
@@ -230,86 +150,115 @@ func TestBestFitWorstFitSelection(t *testing.T) {
 
 // TestLocalPoliciesStayFeasible: randomized op sequences under every
 // local policy keep SelfCheck invariants and never corrupt state; a
-// rebuilt twin driven with the identical accepted op sequence lands in
+// rebuilt twin driven with the identical committed op sequence lands in
 // the identical state (determinism / replayability of every policy).
+// One op in four is forced, so engines also run over capacity: SelfCheck
+// then also proves no waiting task fits any machine, a plain op commits
+// only when it leaves every task placed (and otherwise changes nothing),
+// and restoring from the placed lists reproduces the engine exactly.
 func TestLocalPoliciesStayFeasible(t *testing.T) {
 	type op struct {
-		kind int
-		t    task.Task
-		id   int
-		w    int64
+		kind  int
+		force bool
+		t     task.Task
+		id    int
+		w     int64
 	}
-	for _, pol := range testPolicies() {
+	adm := partition.EDFAdmission{}
+	for _, pol := range append(testPolicies(), PeriodicRepartition(BestFit(), 7)) {
 		rng := rand.New(rand.NewSource(47))
 		p := machine.New(0.5, 1, 1, 2, 3)
 		seed := task.Set{{WCET: 1, Period: 8}}
-		e, err := NewEngine(seed, p, Options{Policy: pol, Admission: partition.EDFAdmission{}})
+		e, err := NewEngine(seed, p, Options{Policy: pol, Admission: adm})
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
-		var accepted []op
+		var committed []op
+		overCap := 0
 		for i := 0; i < 300; i++ {
-			switch rng.Intn(4) {
+			o := op{kind: rng.Intn(4), force: rng.Intn(4) == 0}
+			before, beforeTasks := e.Result().Clone(), e.Tasks()
+			var ok bool
+			switch o.kind {
 			case 0, 1:
-				tk := randTask(rng)
-				_, ok, err := e.Admit(tk)
-				if err != nil {
-					t.Fatalf("%s op %d: %v", pol.Name(), i, err)
-				}
-				if ok {
-					accepted = append(accepted, op{kind: 0, t: tk})
+				o.kind, o.t = 0, randTask(rng)
+				if o.force {
+					_, ok, err = e.ForceAdmit(o.t)
+				} else {
+					_, ok, err = e.Admit(o.t)
 				}
 			case 2:
 				if e.Len() < 2 {
 					continue
 				}
-				id := rng.Intn(e.Len())
-				_, ok, err := e.Remove(id)
-				if err != nil {
-					t.Fatalf("%s op %d: %v", pol.Name(), i, err)
-				}
-				if ok {
-					accepted = append(accepted, op{kind: 1, id: id})
+				o.id = rng.Intn(e.Len())
+				if o.force {
+					_, ok, err = e.ForceRemove(o.id)
+				} else {
+					_, ok, err = e.Remove(o.id)
 				}
 			default:
-				id := rng.Intn(e.Len())
-				w := 1 + rng.Int63n(e.tasks[id].Period)
-				_, ok, err := e.UpdateWCET(id, w)
-				if err != nil {
-					t.Fatalf("%s op %d: %v", pol.Name(), i, err)
-				}
-				if ok {
-					accepted = append(accepted, op{kind: 2, id: id, w: w})
+				o.id = rng.Intn(e.Len())
+				o.w = 1 + rng.Int63n(e.tasks[o.id].Period)
+				if o.force {
+					_, ok, err = e.ForceUpdateWCET(o.id, o.w)
+				} else {
+					_, ok, err = e.UpdateWCET(o.id, o.w)
 				}
 			}
-			if i%37 == 0 {
-				if err := e.SelfCheck(); err != nil {
-					t.Fatalf("%s op %d: SelfCheck: %v", pol.Name(), i, err)
+			if err != nil {
+				t.Fatalf("%s op %d: %v", pol.Name(), i, err)
+			}
+			if ok != e.Feasible() && (ok || o.force) {
+				t.Fatalf("%s op %d: ok=%v but Feasible()=%v", pol.Name(), i, ok, e.Feasible())
+			}
+			if ok || o.force {
+				committed = append(committed, o)
+			} else {
+				requireUnchanged(t, e, before, beforeTasks)
+			}
+			if !e.Feasible() {
+				overCap++
+			}
+			if err := e.SelfCheck(); err != nil {
+				t.Fatalf("%s op %d: SelfCheck: %v", pol.Name(), i, err)
+			}
+			if i%23 == 0 {
+				r, err := NewEngineForce(e.Tasks(), p, Options{Policy: pol, Admission: adm, Placed: e.PlacedLists(), RepartCnt: e.RepartCount()})
+				if err != nil {
+					t.Fatalf("%s op %d: restore: %v", pol.Name(), i, err)
 				}
+				sameEngineState(t, pol.Name()+" restore", r, e)
 			}
 		}
-		if err := e.SelfCheck(); err != nil {
-			t.Fatalf("%s final SelfCheck: %v", pol.Name(), err)
+		if overCap == 0 {
+			t.Fatalf("%s: the engine never ran over capacity", pol.Name())
 		}
 
-		// Twin: replay exactly the accepted ops. Every accepted op must
-		// be accepted again with the same resulting state — Select is a
-		// pure function of engine state.
-		twin, err := NewEngine(seed, p, Options{Policy: pol, Admission: partition.EDFAdmission{}})
+		// Twin: replay exactly the committed ops. Every op must commit
+		// again with the same resulting state — Select is a pure
+		// function of engine state.
+		twin, err := NewEngine(seed, p, Options{Policy: pol, Admission: adm})
 		if err != nil {
 			t.Fatalf("%s twin: %v", pol.Name(), err)
 		}
-		for i, o := range accepted {
+		for i, o := range committed {
 			var ok bool
-			switch o.kind {
-			case 0:
+			switch {
+			case o.kind == 0 && o.force:
+				_, ok, err = twin.ForceAdmit(o.t)
+			case o.kind == 0:
 				_, ok, err = twin.Admit(o.t)
-			case 1:
+			case o.kind == 2 && o.force:
+				_, ok, err = twin.ForceRemove(o.id)
+			case o.kind == 2:
 				_, ok, err = twin.Remove(o.id)
+			case o.force:
+				_, ok, err = twin.ForceUpdateWCET(o.id, o.w)
 			default:
 				_, ok, err = twin.UpdateWCET(o.id, o.w)
 			}
-			if err != nil || !ok {
+			if err != nil || !ok && !o.force {
 				t.Fatalf("%s twin op %d: ok=%v err=%v", pol.Name(), i, ok, err)
 			}
 		}

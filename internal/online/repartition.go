@@ -17,16 +17,17 @@ type Move struct {
 
 // Plan measures how far the engine's current placement has drifted from
 // the paper's sorted first-fit over the same task multiset, and lists
-// the migrations that would erase the drift. In SortedOrder the engine
-// tracks the sorted solve exactly, so the plan is always empty; in
-// ArrivalOrder each plan quantifies the guarantee forfeited by placing
-// tasks in arrival order (the ordering gap of Lupu et al.).
+// the migrations that would erase the drift. Under the ordered policy
+// the engine tracks the sorted solve exactly, so the plan is always
+// empty; under local policies each plan quantifies the guarantee
+// forfeited by placing tasks in arrival order (the ordering gap of Lupu
+// et al.).
 type Plan struct {
 	// Moves are the tasks whose current machine differs from the target,
 	// in task-id order. Empty means zero drift.
 	Moves []Move
 	// TargetFeasible is false when the sorted solve itself fails at the
-	// engine's augmentation — possible in ArrivalOrder because first-fit
+	// engine's augmentation — possible in arrival-order because first-fit
 	// is not monotone in placement order; the engine's own state is
 	// feasible regardless. Moves is empty in that case.
 	TargetFeasible bool
@@ -52,7 +53,7 @@ func (pl Plan) DriftFraction(n int) float64 {
 func (e *Engine) PlanRepartition() (Plan, error) {
 	if e.kind == admDBF {
 		// The DBF engine's reference solve is dbf.FirstFit, not the
-		// utilization partitioner; SortedOrder DBF engines track it
+		// utilization partitioner; sorted-order DBF engines track it
 		// exactly, so drift plans have nothing to measure.
 		return Plan{}, fmt.Errorf("online: repartition is not supported for constrained-deadline engines")
 	}
@@ -85,7 +86,7 @@ func (e *Engine) PlanRepartition() (Plan, error) {
 //
 // maxMoves ≤ 0 or ≥ len(plan.Moves) applies the full plan: the engine is
 // rebuilt to the target placement (folds re-run in the paper's order, so
-// a SortedOrder engine remains byte-identical to a fresh solve) and the
+// a sorted-order engine remains byte-identical to a fresh solve) and the
 // final state is re-verified against every machine's admission bound
 // before committing. A smaller maxMoves applies a bounded prefix
 // greedily: moves are attempted in the target's placement order and a
@@ -96,8 +97,12 @@ func (e *Engine) PlanRepartition() (Plan, error) {
 //
 // Returns the number of moves applied. The plan must be fresh (computed
 // since the last mutation) — a stale plan fails verification rather than
-// corrupting state.
+// corrupting state. An over-capacity engine refuses: a plan moves placed
+// tasks only.
 func (e *Engine) ApplyRepartition(pl Plan, maxMoves int) (int, error) {
+	if e.unplaced > 0 {
+		return 0, fmt.Errorf("online: engine over capacity; repartition needs every task placed")
+	}
 	if !pl.TargetFeasible {
 		return 0, fmt.Errorf("online: repartition target infeasible; nothing to apply")
 	}
@@ -117,7 +122,7 @@ func (e *Engine) ApplyRepartition(pl Plan, maxMoves int) (int, error) {
 // iterating tasks in the paper's utilization-descending order — the
 // order the target solve folded in — so the rebuilt per-machine loads
 // are byte-identical to the plan's Target.Loads and the admission
-// re-verification repeats the solve's exact checks. (For a SortedOrder
+// re-verification repeats the solve's exact checks. (For a sorted-order
 // engine that order is e.sorted, so placed lists stay position-ordered.)
 // All machines are journaled first; verification failure (a stale plan)
 // rolls everything back.
@@ -162,7 +167,7 @@ func (e *Engine) applyFull(pl Plan) error {
 // from the plan, in engine placement order, skipping moves whose source
 // no longer matches or whose destination does not currently admit the
 // task. Each move is its own transaction, so the engine is feasible
-// after every migration. Only reachable in ArrivalOrder (SortedOrder
+// after every migration. Only reachable in arrival-order (sorted-order
 // plans are empty), so splicing-and-appending folds is safe.
 func (e *Engine) applyPartial(pl Plan, maxMoves int) (int, error) {
 	moves := append([]Move(nil), pl.Moves...)

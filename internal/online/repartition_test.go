@@ -9,7 +9,7 @@ import (
 	"partfeas/internal/task"
 )
 
-// TestRepartitionSortedNoDrift: a SortedOrder engine tracks the paper's
+// TestRepartitionSortedNoDrift: a sorted-order engine tracks the paper's
 // solve exactly, so its plan is always empty with bitwise-zero load
 // deltas — the "drift" the repartitioner measures is purely the
 // arrival-order gap.
@@ -17,7 +17,7 @@ func TestRepartitionSortedNoDrift(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for inst := 0; inst < 8; inst++ {
 		p := randPlatform(rng)
-		e, err := New(task.Set{{WCET: 1, Period: 1 << 20}}, p, partition.EDFAdmission{}, 1.5, SortedOrder)
+		e, err := NewEngine(task.Set{{WCET: 1, Period: 1 << 20}}, p, Options{Admission: partition.EDFAdmission{}, Alpha: 1.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,14 +45,14 @@ func TestRepartitionSortedNoDrift(t *testing.T) {
 	}
 }
 
-// driftedEngine builds an ArrivalOrder engine whose placement has
+// driftedEngine builds an arrival-order engine whose placement has
 // drifted from the sorted solve: ascending-utilization arrivals are
 // first-fit's worst case (Lupu et al.'s ordering sensitivity).
 func driftedEngine(t *testing.T, rng *rand.Rand) *Engine {
 	t.Helper()
 	for attempt := 0; attempt < 50; attempt++ {
 		p := randPlatform(rng)
-		e, err := New(task.Set{{WCET: 1, Period: 1 << 20}}, p, partition.EDFAdmission{}, 1, ArrivalOrder)
+		e, err := NewEngine(task.Set{{WCET: 1, Period: 1 << 20}}, p, Options{Policy: FirstFitArrival(), Admission: partition.EDFAdmission{}, Alpha: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

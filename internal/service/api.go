@@ -232,10 +232,11 @@ type CreateSessionRequest struct {
 	// tests utilization bounds with D = P; "constrained" accepts per-task
 	// deadlines D ≤ P and admits through the tiered demand-bound-function
 	// pipeline (density pre-filter → approximate DBF band → exact test).
-	// Constrained sessions require the EDF scheduler, are engine-only (no
-	// force commits, no infeasible resident states, no repartition), and
-	// their decisions stay identical to a fresh exact constrained
-	// first-fit solve over the resident set.
+	// Constrained sessions require the EDF scheduler and refuse
+	// repartition; force commits, removals and creates over an
+	// infeasible set hold the set over capacity exactly as implicit
+	// sessions do, and sorted sessions' answers stay identical to a
+	// fresh exact constrained first-fit solve over the resident set.
 	DeadlineModel string `json:"deadline_model,omitempty"`
 	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
 }
@@ -259,7 +260,12 @@ type SessionResponse struct {
 // AddTaskRequest admits one more task into a session.
 type AddTaskRequest struct {
 	Task TaskJSON `json:"task"`
-	// Force commits the change even when the re-test rejects.
+	// Force commits the change even when the re-test rejects, leaving
+	// the session over capacity: a first_fit_sorted session then answers
+	// what a fresh sorted solve answers, other policies keep the tasks
+	// that fit nowhere waiting, unplaced, in arrival order. Plain
+	// mutations of an over-capacity session commit only when they leave
+	// every task placed.
 	Force     bool  `json:"force,omitempty"`
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
@@ -297,8 +303,8 @@ type BatchAdmissionResponse struct {
 }
 
 // UpdateWCETRequest changes one task's WCET (incremental re-test via
-// the session's online engine, or the batch Tester's UpdateWCET while
-// the resident set is infeasible — never a solver rebuild).
+// the session's online engine — never a solver rebuild, also while the
+// session is over capacity).
 type UpdateWCETRequest struct {
 	Index     int   `json:"index"`
 	WCET      int64 `json:"wcet"`

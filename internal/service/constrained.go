@@ -1,21 +1,19 @@
 package service
 
 // Constrained-deadline sessions: the service face of the online engine's
-// tiered DBF admission (ISSUE 7). A session created with deadline_model
+// tiered DBF admission. A session created with deadline_model
 // "constrained" carries a relative deadline D ≤ P per task and answers
-// every admission through online.NewConstrained's pipeline — density
+// every admission through the engine's constrained pipeline — density
 // pre-filter, approximate demand band, exact processor-demand test —
 // with verdicts identical to a fresh exact constrained first-fit solve.
 //
-// Constrained sessions are engine-only. The batch-tester fallback that
-// lets implicit sessions hold force-committed infeasible sets has no
-// constrained counterpart, so force commits are refused, sessions cannot
-// be created infeasible, and a removal the engine refuses stays resident
-// (rolled back) instead of disarming the engine.
+// Force commits, removals and creates over an infeasible set follow the
+// implicit sessions' rules: the engine holds the over-capacity set, and
+// a sorted session's answers stay those of a fresh dbf.FirstFit solve.
+// Only repartition is refused (its reference solve is the utilization
+// partitioner).
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
 
 	"partfeas"
@@ -31,10 +29,6 @@ import (
 const sessionApproxK = 8
 
 var (
-	errConstrainedForce = &httpError{
-		code: http.StatusBadRequest,
-		msg:  "force is not supported in constrained-deadline sessions (no infeasible fallback path)",
-	}
 	errConstrainedRepartition = &httpError{
 		code: http.StatusConflict,
 		msg:  "repartition is not supported in constrained-deadline sessions",
@@ -46,17 +40,10 @@ var (
 )
 
 // checkDeadlineArg vets a mutation's deadline argument against the
-// session's model: implicit sessions only accept 0 or D = P, and
-// constrained sessions refuse force.
-func (s *session) checkDeadlineArg(dl, period int64, force bool) error {
-	if !s.constrained {
-		if dl != 0 && dl != period {
-			return errConstrainedDeadline
-		}
-		return nil
-	}
-	if force {
-		return errConstrainedForce
+// session's model: implicit sessions only accept 0 or D = P.
+func (s *session) checkDeadlineArg(dl, period int64) error {
+	if !s.constrained && dl != 0 && dl != period {
+		return errConstrainedDeadline
 	}
 	return nil
 }
@@ -113,25 +100,20 @@ func (s *session) freshConstrainedReport(alpha float64) (partfeas.Report, error)
 	}, nil
 }
 
-// createConstrained opens a constrained-deadline session. Unlike the
-// implicit path there is no infeasible fallback: a set the tiered
-// pipeline cannot place at the session alpha fails creation, and a
-// typed analysis error (horizon or demand overflow) is surfaced rather
-// than downgraded to a verdict.
+// createConstrained opens a constrained-deadline session, over capacity
+// if the set does not place at the session alpha. A typed analysis
+// error (horizon or demand overflow) is surfaced rather than downgraded
+// to a verdict.
 func (st *sessionStore) createConstrained(in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
 	defer st.dur.rlock()()
 	if in.Scheduler != partfeas.EDF {
-		return nil, &httpError{code: http.StatusBadRequest, msg: "constrained-deadline sessions require the EDF scheduler"}
+		return nil, badRequest("constrained-deadline sessions require the EDF scheduler")
 	}
-	eng, err := online.NewEngine(in.Tasks, in.Platform, online.Options{
+	eng, err := online.NewEngineForce(in.Tasks, in.Platform, online.Options{
 		Policy: placement, Alpha: alpha, Deadlines: dls, ApproxK: sessionApproxK,
 	})
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, online.ErrInfeasible) {
-			code = http.StatusConflict
-		}
-		return nil, &httpError{code: code, msg: fmt.Sprintf("constrained session: %v", err)}
+		return nil, badRequest("constrained session: %v", err)
 	}
 	s := &session{
 		in: partfeas.Instance{
@@ -148,17 +130,5 @@ func (st *sessionStore) createConstrained(in partfeas.Instance, dls []int64, alp
 		mx:          st.mx,
 		dur:         st.dur,
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.assignID(s, id); err != nil {
-		return nil, err
-	}
-	if err := st.dur.logOp(createOp(s, s.dls)); err != nil {
-		if id == "" {
-			st.seq--
-		}
-		return nil, err
-	}
-	st.m[s.id] = s
-	return s, nil
+	return st.insert(s, id)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -107,13 +108,14 @@ func TestConstrainedSessionLifecycle(t *testing.T) {
 		t.Fatalf("ad-hoc test: %d %s", w.Code, w.Body)
 	}
 
-	// Constrained refusals.
+	// Force commits follow the implicit sessions' rules; repartition is
+	// the one constrained refusal.
 	for _, tc := range []struct {
 		name, method, path, body string
 		code                     int
 	}{
-		{"force admit", "POST", base + "/tasks", `{"task":{"wcet":1,"period":30},"force":true}`, http.StatusBadRequest},
-		{"force wcet", "POST", base + "/wcet", `{"index":0,"wcet":1,"force":true}`, http.StatusBadRequest},
+		{"force admit", "POST", base + "/tasks", `{"task":{"wcet":1,"period":30},"force":true}`, http.StatusOK},
+		{"force wcet", "POST", base + "/wcet", `{"index":0,"wcet":1,"force":true}`, http.StatusOK},
 		{"repartition", "POST", base + "/repartition", `{}`, http.StatusConflict},
 	} {
 		if w := do(t, s, tc.method, tc.path, tc.body); w.Code != tc.code {
@@ -138,10 +140,19 @@ func TestConstrainedSessionLifecycle(t *testing.T) {
 		`{"tasks":[{"wcet":1,"period":4}],"speeds":[1],"deadline_model":"sporadic"}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad model: %d %s", w.Code, w.Body)
 	}
-	// Infeasible constrained creation is a conflict, not a batch-path session.
-	if w := do(t, s, "POST", "/v1/sessions",
-		`{"tasks":[{"wcet":9,"period":10,"deadline":9},{"wcet":9,"period":10,"deadline":9}],"speeds":[1],"deadline_model":"constrained"}`); w.Code != http.StatusConflict {
+	// Infeasible constrained creation opens the session over capacity,
+	// answering what a fresh constrained first-fit solve answers.
+	w = do(t, s, "POST", "/v1/sessions",
+		`{"tasks":[{"wcet":9,"period":10,"deadline":9},{"wcet":9,"period":10,"deadline":9}],"speeds":[1],"deadline_model":"constrained"}`)
+	if w.Code != http.StatusCreated {
 		t.Fatalf("infeasible constrained create: %d %s", w.Code, w.Body)
+	}
+	var over SessionResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &over); err != nil {
+		t.Fatal(err)
+	}
+	if over.Test.Accepted || over.Test.FailedTask != 1 || !reflect.DeepEqual(over.Test.Assignment, []int{0, -1}) {
+		t.Fatalf("infeasible constrained create: %+v", over.Test)
 	}
 }
 

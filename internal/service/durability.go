@@ -488,10 +488,13 @@ type sessionSnap struct {
 	Constrained bool          `json:"constrained,omitempty"`
 	Tasks       []oplog.Task  `json:"tasks"`
 	Machines    []MachineJSON `json:"machines"`
-	// Engine records whether the incremental engine was armed (false =
-	// force-infeasible resident set, batch path). Placed is the engine's
-	// per-machine placement history, which arrival-order restores refold
-	// verbatim; sorted-order engines re-solve and ignore it.
+	// Engine records whether the resident set places (every task
+	// assigned). Placed is the engine's per-machine placement history,
+	// which local-policy restores refold verbatim (the unplaced tasks of
+	// an over-capacity session appear in no list); sorted-order engines
+	// re-solve and ignore it, and an over-capacity sorted session records
+	// none. A record without Placed and with Engine false restores through
+	// a fresh placement pass.
 	Engine bool      `json:"engine"`
 	Placed [][]int32 `json:"placed,omitempty"`
 	// RepartCnt is the PeriodicRepartition cadence counter; without it a
@@ -514,7 +517,7 @@ func snapOf(s *session) sessionSnap {
 		Constrained: s.constrained,
 		Tasks:       make([]oplog.Task, len(s.in.Tasks)),
 		Machines:    make([]MachineJSON, len(s.in.Platform)),
-		Engine:      s.eng != nil,
+		Engine:      s.eng.Feasible(),
 		Epoch:       s.epoch,
 	}
 	for i, t := range s.in.Tasks {
@@ -526,7 +529,7 @@ func snapOf(s *session) sessionSnap {
 	for i, m := range s.in.Platform {
 		ss.Machines[i] = MachineJSON{Name: m.Name, Speed: m.Speed}
 	}
-	if s.eng != nil {
+	if ss.Engine || !s.placement.Ordered() {
 		ss.Placed = s.eng.PlacedLists()
 		ss.RepartCnt = s.eng.RepartCount()
 	}
@@ -569,9 +572,9 @@ func (d *durability) encodeStore() ([]byte, error) {
 }
 
 // restoreStore rebuilds the session store from a snapshot payload.
-// Engines are restored through online.Restore/RestoreConstrained, which
-// re-verify every recorded placement with the engine's own admission
-// predicate — a tampered snapshot is rejected, not resurrected.
+// Engines are restored through online.Options.Placed, which re-verifies
+// every recorded placement with the engine's own admission predicate —
+// a tampered snapshot is rejected, not resurrected.
 func (d *durability) restoreStore(payload []byte) error {
 	var snap storeSnap
 	if err := json.Unmarshal(payload, &snap); err != nil {
@@ -592,14 +595,16 @@ func (d *durability) restoreStore(payload []byte) error {
 	return nil
 }
 
-// snapPlaced normalizes a snapshot's placed lists for NewEngine: a nil
-// record is a corrupt snapshot and must fail placement verification,
-// not silently rebuild a fresh placement.
-func snapPlaced(placed [][]int32) [][]int32 {
-	if placed == nil {
+// snapPlaced normalizes a snapshot's placed lists for the engine: a nil
+// record of a session that placed every task is corrupt and must fail
+// placement verification, not silently rebuild a fresh placement; a nil
+// record of an over-capacity session (what sorted sessions, and older
+// snapshots of any session, record) restores by a fresh placement pass.
+func snapPlaced(ss *sessionSnap) [][]int32 {
+	if ss.Placed == nil && ss.Engine {
 		return [][]int32{}
 	}
-	return placed
+	return ss.Placed
 }
 
 // restoreSession rebuilds one session from its snapshot record. Used by
@@ -635,38 +640,18 @@ func (st *sessionStore) restoreSession(ss *sessionSnap) (*session, error) {
 	for i, m := range ss.Machines {
 		s.in.Platform[i] = partfeas.Machine{Name: m.Name, Speed: m.Speed}
 	}
+	opts := online.Options{Policy: placement, Alpha: ss.Alpha, Placed: snapPlaced(ss), RepartCnt: ss.RepartCnt}
 	if ss.Constrained {
-		if !ss.Engine {
-			return nil, fmt.Errorf("constrained session snapshotted without an engine")
-		}
 		s.dls = make([]int64, len(ss.Tasks))
 		for i, t := range ss.Tasks {
 			s.dls[i] = t.Deadline
 		}
-		eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, online.Options{
-			Policy: placement, Alpha: ss.Alpha, Deadlines: s.dls,
-			ApproxK: sessionApproxK, Placed: snapPlaced(ss.Placed),
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.eng = eng
-		return s, nil
-	}
-	if !ss.Engine {
-		return s, nil // batch path; the tester is rebuilt lazily
-	}
-	adm, err := sched.Admission()
-	if err != nil {
+		opts.Deadlines, opts.ApproxK = s.dls, sessionApproxK
+	} else if opts.Admission, err = sched.Admission(); err != nil {
 		return nil, err
 	}
-	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, online.Options{
-		Policy: placement, Admission: adm, Alpha: ss.Alpha,
-		Placed: snapPlaced(ss.Placed), RepartCnt: ss.RepartCnt,
-	})
-	if err != nil {
+	if s.eng, err = online.NewEngineForce(s.in.Tasks, s.in.Platform, opts); err != nil {
 		return nil, err
 	}
-	s.eng = eng
 	return s, nil
 }

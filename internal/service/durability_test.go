@@ -64,10 +64,10 @@ type scriptStep struct {
 // durabilityScript is a fixed mutation sequence covering every logged op
 // type and both engine modes: implicit sorted and arrival sessions, a
 // constrained-deadline session, singleton admits, best-effort and
-// all-or-nothing batches, a force-committed infeasible set (batch-tester
-// fallback), WCET updates, removals, an applied repartition, and a
-// create+destroy pair. Step k appends WAL op k+1, which is what lets the
-// crash matrix aim a fault at a specific op index.
+// all-or-nothing batches, force-committed over-capacity sets under the
+// sorted policy and a local one, WCET updates, removals, an applied
+// repartition, and a create+destroy pair. Step k appends WAL op k+1,
+// which is what lets the crash matrix aim a fault at a specific op index.
 func durabilityScript() []scriptStep {
 	ctx := context.Background()
 	instance := func(sched partfeas.Scheduler) partfeas.Instance {
@@ -181,6 +181,17 @@ func durabilityScript() []scriptStep {
 		}},
 		{"s6-admit", withSession("s-6", func(s *session) error {
 			_, err := s.addTask(ctx, partfeas.Task{Name: "bf", WCET: 2, Period: 9}, 0, false)
+			return err
+		})},
+		// Over capacity under a local policy: the forced hog fits no
+		// machine and waits unplaced; the removal frees capacity, which
+		// is offered to it again (still too little).
+		{"s6-force-admit", withSession("s-6", func(s *session) error {
+			_, err := s.addTask(ctx, partfeas.Task{Name: "hog6", WCET: 50, Period: 10}, 0, true)
+			return err
+		})},
+		{"s6-remove", withSession("s-6", func(s *session) error {
+			_, err := s.removeTask(ctx, 0)
 			return err
 		})},
 	}

@@ -34,8 +34,16 @@ func startHTTP(t testing.TB, srv *Server) string {
 	if err := srv.Listen(); err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	go func() { _ = srv.Serve() }()
-	t.Cleanup(func() { _ = srv.hs.Close() })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve()
+	}()
+	// Wait for Serve (and its t.Logf) to finish before the test does.
+	t.Cleanup(func() {
+		_ = srv.hs.Close()
+		<-done
+	})
 	return "http://" + srv.Addr()
 }
 
@@ -81,17 +89,23 @@ func normEpoch(t testing.TB, b []byte) []byte {
 type migOp func(ctx context.Context, s *session) error
 
 // migScript derives a deterministic op sequence from seed: admissions
-// across the tail/interior utilization range, removals, WCET updates,
-// and (implicit sessions only) applied repartitions. Engine rejections
-// are fine — they are deterministic too and both twins see them.
+// across the tail/interior utilization range (one in four forced, with a
+// full-utilization task that pushes the session over capacity), removals, WCET
+// updates, and (implicit sessions only) applied repartitions. Engine
+// rejections are fine — they are deterministic too and both twins see
+// them.
 func migScript(seed int64, n int, constrained bool) []migOp {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]migOp, n)
 	for i := range ops {
 		switch k := rng.Intn(10); {
 		case k < 6: // admit
+			force := rng.Intn(4) == 0
 			w := int64(1 + rng.Intn(4))
 			p := w * int64(2+rng.Intn(20))
+			if force {
+				p = w
+			}
 			dl := int64(0)
 			if constrained {
 				dl = p - int64(rng.Intn(int(p/2+1)))
@@ -101,7 +115,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 			}
 			name := fmt.Sprintf("t%d", i)
 			ops[i] = func(ctx context.Context, s *session) error {
-				_, err := s.addTask(ctx, partfeas.Task{Name: name, WCET: w, Period: p}, dl, false)
+				_, err := s.addTask(ctx, partfeas.Task{Name: name, WCET: w, Period: p}, dl, force)
 				return err
 			}
 		case k < 8: // remove a pseudo-random resident

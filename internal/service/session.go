@@ -18,13 +18,15 @@ import (
 // session is one live admission-control session: a task set under
 // negotiation against a fixed platform and scheduler.
 //
-// Mutations are served by an incremental online.Engine that keeps live
-// per-machine load state, so an admit/remove/update costs a suffix
-// replay (typically O(log m)) instead of the full re-solve the first
-// version of this service performed. The engine only represents feasible
-// states; when a client force-commits an infeasible set the session
-// falls back to the batch Tester path (eng == nil) and re-arms the
-// engine on the next feasible commit.
+// Every mutation is served by an incremental online.Engine that keeps
+// live per-machine load state, so an admit/remove/update costs a suffix
+// replay (typically O(log m)) instead of a full re-solve. A force
+// commit, a removal whose shrunken set does not place, or a create over
+// an infeasible set leaves the engine holding an over-capacity set (see
+// the online package doc): sorted sessions then answer exactly what a
+// fresh sorted solve answers, other policies keep the unplaced tasks
+// waiting in arrival order. Plain mutations of such a session commit
+// only when they leave every task placed.
 //
 // Placement is the engine's placement policy (online.Policy):
 // first_fit_sorted sessions stay byte-identical to the paper's fresh
@@ -42,8 +44,7 @@ type session struct {
 	in        partfeas.Instance
 	alpha     float64
 	placement online.Policy
-	eng       *online.Engine   // nil while the resident set is (force-)infeasible
-	tester    *partfeas.Tester // batch fallback; nil when stale (rebuilt lazily)
+	eng       *online.Engine
 	closed    bool
 	mx        *Metrics    // per-path admission metrics; nil in bare tests
 	dur       *durability // WAL ack gate; nil without -data-dir (all calls nil-safe)
@@ -64,9 +65,8 @@ type session struct {
 	tail      []*oplog.Op
 
 	// Constrained-deadline sessions (deadline_model "constrained") admit
-	// through the engine's tiered DBF pipeline and are engine-only: the
-	// engine is always armed, force commits and repartition are refused,
-	// and dls holds each resident task's relative deadline (parallel to
+	// through the engine's tiered DBF pipeline, refuse repartition, and
+	// keep each resident task's relative deadline in dls (parallel to
 	// in.Tasks).
 	constrained bool
 	dls         []int64
@@ -135,9 +135,16 @@ func (st *sessionStore) count() int {
 // means the store assigns the next "s-<n>".
 func (st *sessionStore) create(in partfeas.Instance, alpha float64, placement online.Policy, id string) (*session, error) {
 	defer st.dur.rlock()()
-	tester, err := partfeas.NewTester(in.Tasks, in.Platform, in.Scheduler)
+	adm, err := in.Scheduler.Admission()
 	if err != nil {
-		return nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+		return nil, badRequest("%v", err)
+	}
+	// Sessions may open over capacity.
+	eng, err := online.NewEngineForce(in.Tasks, in.Platform, online.Options{
+		Policy: placement, Admission: adm, Alpha: alpha,
+	})
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	s := &session{
 		in: partfeas.Instance{
@@ -147,18 +154,23 @@ func (st *sessionStore) create(in partfeas.Instance, alpha float64, placement on
 		},
 		alpha:     alpha,
 		placement: placement,
-		tester:    tester,
+		eng:       eng,
 		epoch:     1,
 		mx:        st.mx,
 		dur:       st.dur,
 	}
-	s.armEngine() // sessions may open infeasible; they just start on the batch path
+	return st.insert(s, id)
+}
+
+// insert gives a new session its id and logs its creation (the last
+// fallible step, so a logged create always replays successfully).
+func (st *sessionStore) insert(s *session, id string) (*session, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if err := st.assignID(s, id); err != nil {
 		return nil, err
 	}
-	if err := st.dur.logOp(createOp(s, nil)); err != nil {
+	if err := st.dur.logOp(createOp(s)); err != nil {
 		if id == "" {
 			st.seq--
 		}
@@ -231,10 +243,8 @@ func autoSeq(id string) (uint64, bool) {
 	return n, true
 }
 
-// createOp encodes a session creation (the last fallible step before the
-// store insert, so a logged create always replays successfully). dls is
-// non-nil only for constrained sessions.
-func createOp(s *session, dls []int64) *oplog.Op {
+// createOp encodes a session creation.
+func createOp(s *session) *oplog.Op {
 	op := &oplog.Op{
 		Type:      oplog.TypeCreate,
 		Session:   s.id,
@@ -252,8 +262,8 @@ func createOp(s *session, dls []int64) *oplog.Op {
 	}
 	for i, t := range s.in.Tasks {
 		op.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		if dls != nil {
-			op.Tasks[i].Deadline = dls[i]
+		if s.constrained {
+			op.Tasks[i].Deadline = s.dls[i]
 		}
 	}
 	return op
@@ -370,41 +380,9 @@ func (s *session) logOp(op *oplog.Op) error {
 	return nil
 }
 
-// armEngine (re)builds the incremental engine over the current task set,
-// leaving it nil when the set is infeasible at the session augmentation
-// (the batch path then serves every query). Caller holds s.mu (or sole
-// ownership during create).
-func (s *session) armEngine() {
-	s.eng = nil
-	adm, err := s.in.Scheduler.Admission()
-	if err != nil {
-		return
-	}
-	eng, err := online.NewEngine(s.in.Tasks, s.in.Platform, online.Options{
-		Policy: s.placement, Admission: adm, Alpha: s.alpha,
-	})
-	if err != nil {
-		return // ErrInfeasible or unsupported: stay on the batch path
-	}
-	s.eng = eng
-}
-
-// batchTester returns the session's batch Tester, rebuilding it when a
-// prior engine-path mutation left it stale.
-func (s *session) batchTester() (*partfeas.Tester, error) {
-	if s.tester == nil {
-		t, err := partfeas.NewTester(s.in.Tasks, s.in.Platform, s.in.Scheduler)
-		if err != nil {
-			return nil, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		s.tester = t
-	}
-	return s.tester, nil
-}
-
 // ctxGuard mirrors Tester.TestCtx's contract on the engine path: an
-// expired or cancelled context yields the same *pipeline.Error shape, so
-// clients cannot tell which path answered.
+// expired or cancelled context yields the same *pipeline.Error shape as
+// the stateless endpoints and ad-hoc-alpha session tests.
 func ctxGuard(ctx context.Context) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return pipeline.New(pipeline.StageAnalyze, "Test", cerr)
@@ -424,19 +402,12 @@ func (s *session) engReport(res partition.Result) partfeas.Report {
 }
 
 // currentReport answers "test the resident set at the session alpha"
-// from the engine when armed, else from the batch tester.
+// from the engine.
 func (s *session) currentReport(ctx context.Context) (partfeas.Report, error) {
-	if s.eng != nil {
-		if err := ctxGuard(ctx); err != nil {
-			return partfeas.Report{}, err
-		}
-		return s.engReport(s.eng.Result()), nil
-	}
-	t, err := s.batchTester()
-	if err != nil {
+	if err := ctxGuard(ctx); err != nil {
 		return partfeas.Report{}, err
 	}
-	return t.TestCtx(ctx, s.alpha)
+	return s.engReport(s.eng.Result()), nil
 }
 
 // state snapshots the session and re-tests it at its alpha.
@@ -475,7 +446,7 @@ func (s *session) state(ctx context.Context) (SessionResponse, error) {
 }
 
 // test re-tests the current set; alpha 0 keeps the session augmentation.
-// Ad-hoc alphas always run the batch sorted test (the engine's state is
+// Ad-hoc alphas run a one-shot fresh sorted test (the engine's state is
 // only valid at the session alpha).
 func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error) {
 	s.mu.Lock()
@@ -491,8 +462,8 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 		return TestResponseFrom(rep), nil
 	}
 	if s.constrained {
-		// No batch tester exists for constrained sets; ad-hoc alphas run
-		// a fresh exact constrained first-fit solve.
+		// Constrained sets have no Tester; ad-hoc alphas run a fresh
+		// exact constrained first-fit solve.
 		if err := ctxGuard(ctx); err != nil {
 			return TestResponse{}, err
 		}
@@ -502,9 +473,9 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 		}
 		return TestResponseFrom(rep), nil
 	}
-	t, err := s.batchTester()
+	t, err := partfeas.NewTester(s.in.Tasks, s.in.Platform, s.in.Scheduler)
 	if err != nil {
-		return TestResponse{}, err
+		return TestResponse{}, badRequest("%v", err)
 	}
 	rep, err := t.TestCtx(ctx, alpha)
 	if err != nil {
@@ -514,8 +485,7 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 }
 
 // addTask tentatively admits one more task: committed only on acceptance
-// (or force). The armed engine answers incrementally; a force-committed
-// rejection drops to the batch path until the set is feasible again.
+// (or force, which may leave the session over capacity).
 //
 // Non-force admits coalesce opportunistically: the request enqueues its
 // task, then takes the session lock; whichever request gets the lock
@@ -526,12 +496,12 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 // contention the queue holds a single entry and the plain path runs.
 func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force bool) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
-	if err := s.checkDeadlineArg(dl, t.Period, force); err != nil {
+	if err := s.checkDeadlineArg(dl, t.Period); err != nil {
 		return AdmissionResponse{}, err
 	}
 	if force {
-		// Force commits can disarm the engine mid-group; keep them out
-		// of coalesced batches. They serialize on s.mu like everything
+		// Force commits have their own commit rule; keep them out of
+		// coalesced batches. They serialize on s.mu like everything
 		// else, so verdict linearizability is unaffected.
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -578,13 +548,12 @@ func (s *session) drainAdmits(group []*admitWaiter) {
 	if len(live) == 0 {
 		return
 	}
-	if len(live) == 1 || s.eng == nil {
-		// No useful merge: the plain path answers each waiter (and keeps
-		// single-admit witness semantics and tail/interior metrics).
-		for _, w := range live {
-			w.resp, w.err = s.addTaskLocked(w.ctx, w.t, w.dl, false)
-			close(w.done)
-		}
+	if len(live) == 1 {
+		// No useful merge: the plain path answers (and keeps single-admit
+		// witness semantics and tail/interior metrics).
+		w := live[0]
+		w.resp, w.err = s.addTaskLocked(w.ctx, w.t, w.dl, false)
+		close(w.done)
 		return
 	}
 	// The coalesced group commits as one logged best-effort batch: replay
@@ -637,18 +606,10 @@ func (s *session) drainAdmits(group []*admitWaiter) {
 		}
 		s.observeTier(d)
 	}
-	any := false
 	for i, ok := range admitted {
 		if ok {
-			s.in.Tasks = append(s.in.Tasks, live[i].t)
-			if s.constrained {
-				s.dls = append(s.dls, s.deadlineOf(live[i].t, live[i].dl))
-			}
-			any = true
+			s.appendTask(live[i].t, live[i].dl)
 		}
-	}
-	if any {
-		s.tester = nil
 	}
 	test := TestResponseFrom(s.engReport(res))
 	for i, w := range live {
@@ -678,61 +639,42 @@ func (s *session) addTaskLocked(ctx context.Context, t partfeas.Task, dl int64, 
 	}); err != nil {
 		return AdmissionResponse{}, err
 	}
-	ctx = s.dur.applyCtx(ctx)
-	if s.eng != nil {
-		start := time.Now()
-		var res partition.Result
-		var admitted bool
-		var err error
-		if s.constrained {
-			res, admitted, err = s.eng.AdmitConstrained(s.constrainedTask(t, dl))
-		} else {
-			res, admitted, err = s.eng.Admit(t)
-		}
-		if err != nil {
-			return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		s.observeAdmission(start)
-		resp := AdmissionResponse{Admitted: admitted || force, Test: TestResponseFrom(s.engReport(res))}
-		switch {
-		case admitted:
-			s.in.Tasks = append(s.in.Tasks, t)
-			if s.constrained {
-				s.dls = append(s.dls, s.deadlineOf(t, dl))
-			}
-			s.tester = nil
-		case force:
-			if err := s.commitInfeasible(append(s.in.Tasks.Clone(), t)); err != nil {
-				return AdmissionResponse{}, err
-			}
-		default:
-			resp.RolledBack = true
-		}
-		resp.NTasks = len(s.in.Tasks)
-		return resp, nil
+	start := time.Now()
+	var res partition.Result
+	var admitted bool
+	var err error
+	switch {
+	case s.constrained && force:
+		res, admitted, err = s.eng.ForceAdmitConstrained(s.constrainedTask(t, dl))
+	case s.constrained:
+		res, admitted, err = s.eng.AdmitConstrained(s.constrainedTask(t, dl))
+	case force:
+		res, admitted, err = s.eng.ForceAdmit(t)
+	default:
+		res, admitted, err = s.eng.Admit(t)
 	}
+	if err != nil {
+		return AdmissionResponse{}, badRequest("%v", err)
+	}
+	s.observeAdmission(start)
+	if admitted || force {
+		s.appendTask(t, dl)
+	}
+	return AdmissionResponse{
+		Admitted:   admitted || force,
+		RolledBack: !admitted && !force,
+		NTasks:     len(s.in.Tasks),
+		Test:       TestResponseFrom(s.engReport(res)),
+	}, nil
+}
 
-	cand := append(s.in.Tasks.Clone(), t)
-	tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
-	if err != nil {
-		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
+// appendTask records a committed admission in the session's task list
+// (and, on constrained sessions, its deadline). Caller holds s.mu.
+func (s *session) appendTask(t partfeas.Task, dl int64) {
+	s.in.Tasks = append(s.in.Tasks, t)
+	if s.constrained {
+		s.dls = append(s.dls, s.deadlineOf(t, dl))
 	}
-	rep, err := tester.TestCtx(ctx, s.alpha)
-	if err != nil {
-		return AdmissionResponse{}, err
-	}
-	resp := AdmissionResponse{Admitted: rep.Accepted || force, Test: TestResponseFrom(rep)}
-	if resp.Admitted {
-		s.in.Tasks = cand
-		s.tester = tester
-		if rep.Accepted {
-			s.armEngine()
-		}
-	} else {
-		resp.RolledBack = true
-	}
-	resp.NTasks = len(s.in.Tasks)
-	return resp, nil
 }
 
 // observeAdmission classifies the engine's most recent single admit as
@@ -755,7 +697,7 @@ func (s *session) observeAdmission(start time.Time) {
 // observeTier records the deepest DBF tier the engine's last op used
 // (no-op for implicit-deadline ops). Caller holds s.mu.
 func (s *session) observeTier(d time.Duration) {
-	if s.mx == nil || s.eng == nil {
+	if s.mx == nil {
 		return
 	}
 	if tp, ok := TierPath(s.eng.LastOpStats().MaxTier); ok {
@@ -763,14 +705,11 @@ func (s *session) observeTier(d time.Duration) {
 	}
 }
 
-// addTaskBatch admits several tasks in one call. With an armed engine
-// the whole batch is one merged suffix replay; per-task verdicts are
-// identical to admitting the tasks one at a time in input order
-// (best-effort mode) or the batch commits atomically or not at all
-// (all-or-nothing mode). While the resident set is infeasible the
-// fallback answers each task through the batch tester with best-effort
-// semantics; all-or-nothing then degenerates to reject-all, since
-// adding tasks cannot restore feasibility.
+// addTaskBatch admits several tasks in one call as one merged engine
+// batch: per-task verdicts are identical to admitting the tasks one at a
+// time in input order (best-effort mode), or the batch commits
+// atomically or not at all (all-or-nothing mode). On an over-capacity
+// session a task is admitted only once the set places again.
 func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
@@ -778,12 +717,14 @@ func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []in
 	if err := s.guard(); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	for i := range ts {
-		var dl int64
-		if dls != nil {
-			dl = dls[i]
+	dl := func(i int) int64 {
+		if dls == nil {
+			return 0
 		}
-		if err := s.checkDeadlineArg(dl, ts[i].Period, false); err != nil {
+		return dls[i]
+	}
+	for i := range ts {
+		if err := s.checkDeadlineArg(dl(i), ts[i].Period); err != nil {
 			return BatchAdmissionResponse{}, err
 		}
 	}
@@ -808,190 +749,52 @@ func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []in
 		Tasks:     make([]oplog.Task, len(ts)),
 	}
 	for i, t := range ts {
-		batch.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		if dls != nil {
-			batch.Tasks[i].Deadline = dls[i]
-		}
+		batch.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: dl(i)}
 	}
 	if err := s.logOp(batch); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	ctx = s.dur.applyCtx(ctx)
-	if s.eng != nil {
-		start := time.Now()
-		var res partition.Result
-		var admitted []bool
-		var err error
-		if s.constrained {
-			cs := make(dbf.Set, len(ts))
-			for i, t := range ts {
-				var dl int64
-				if dls != nil {
-					dl = dls[i]
-				}
-				cs[i] = s.constrainedTask(t, dl)
-			}
-			res, admitted, err = s.eng.AdmitBatchConstrained(cs, mode)
-		} else {
-			res, admitted, err = s.eng.AdmitBatch(ts, mode)
+	start := time.Now()
+	var res partition.Result
+	var admitted []bool
+	var err error
+	if s.constrained {
+		cs := make(dbf.Set, len(ts))
+		for i, t := range ts {
+			cs[i] = s.constrainedTask(t, dl(i))
 		}
-		if err != nil {
-			return BatchAdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		if s.mx != nil {
-			d := time.Since(start)
-			s.mx.AdmissionObserved(PathBatch, d)
-			s.observeTier(d)
-		}
-		n := 0
-		for i, ok := range admitted {
-			if ok {
-				s.in.Tasks = append(s.in.Tasks, ts[i])
-				if s.constrained {
-					var dl int64
-					if dls != nil {
-						dl = dls[i]
-					}
-					s.dls = append(s.dls, s.deadlineOf(ts[i], dl))
-				}
-				n++
-			}
-		}
-		if n > 0 {
-			s.tester = nil
-		}
-		return BatchAdmissionResponse{
-			Mode:      mode.String(),
-			Admitted:  admitted,
-			NAdmitted: n,
-			NTasks:    len(s.in.Tasks),
-			Test:      TestResponseFrom(s.engReport(res)),
-		}, nil
+		res, admitted, err = s.eng.AdmitBatchConstrained(cs, mode)
+	} else {
+		res, admitted, err = s.eng.AdmitBatch(ts, mode)
 	}
-
-	// Batch-tester fallback (resident set infeasible). All-or-nothing:
-	// one union test decides the whole batch. Best-effort: admit each
-	// task in order against the then-current set.
-	admitted := make([]bool, len(ts))
-	if mode == online.AllOrNothing {
-		cand := append(s.in.Tasks.Clone(), ts...)
-		tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
-		if err != nil {
-			return BatchAdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		rep, err := tester.TestCtx(ctx, s.alpha)
-		if err != nil {
-			return BatchAdmissionResponse{}, err
-		}
-		n := 0
-		if rep.Accepted {
-			s.in.Tasks = cand
-			s.tester = tester
-			s.armEngine()
-			for i := range admitted {
-				admitted[i] = true
-			}
-			n = len(ts)
-		}
-		return BatchAdmissionResponse{
-			Mode:      mode.String(),
-			Admitted:  admitted,
-			NAdmitted: n,
-			NTasks:    len(s.in.Tasks),
-			Test:      TestResponseFrom(rep),
-		}, nil
+	if err != nil {
+		return BatchAdmissionResponse{}, badRequest("%v", err)
+	}
+	if s.mx != nil {
+		d := time.Since(start)
+		s.mx.AdmissionObserved(PathBatch, d)
+		s.observeTier(d)
 	}
 	n := 0
-	var last partfeas.Report
-	for i, t := range ts {
-		cand := append(s.in.Tasks.Clone(), t)
-		tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
-		if err != nil {
-			return BatchAdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		rep, err := tester.TestCtx(ctx, s.alpha)
-		if err != nil {
-			return BatchAdmissionResponse{}, err
-		}
-		last = rep
-		if rep.Accepted {
-			admitted[i] = true
+	for i, ok := range admitted {
+		if ok {
+			s.appendTask(ts[i], dl(i))
 			n++
-			s.in.Tasks = cand
-			s.tester = tester
-			s.armEngine()
-			if s.eng != nil {
-				// Feasibility returned mid-batch: the engine finishes it.
-				rest, err := s.addTaskBatchEngine(ctx, ts[i+1:], admitted[i+1:])
-				if err != nil {
-					return BatchAdmissionResponse{}, err
-				}
-				n += rest
-				break
-			}
 		}
 	}
-	resp := BatchAdmissionResponse{
+	return BatchAdmissionResponse{
 		Mode:      mode.String(),
 		Admitted:  admitted,
 		NAdmitted: n,
 		NTasks:    len(s.in.Tasks),
-	}
-	if s.eng != nil {
-		resp.Test = TestResponseFrom(s.engReport(s.eng.Result()))
-	} else {
-		resp.Test = TestResponseFrom(last)
-	}
-	return resp, nil
-}
-
-// addTaskBatchEngine finishes a best-effort batch on the engine after
-// the tester fallback restored feasibility partway through. Caller
-// holds s.mu; verdicts land in the admitted slice.
-func (s *session) addTaskBatchEngine(ctx context.Context, ts []partfeas.Task, admitted []bool) (int, error) {
-	if len(ts) == 0 {
-		return 0, nil
-	}
-	if err := ctxGuard(ctx); err != nil {
-		return 0, err
-	}
-	_, adm, err := s.eng.AdmitBatch(ts, online.BestEffort)
-	if err != nil {
-		return 0, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	n := 0
-	for i, ok := range adm {
-		admitted[i] = ok
-		if ok {
-			s.in.Tasks = append(s.in.Tasks, ts[i])
-			n++
-		}
-	}
-	if n > 0 {
-		s.tester = nil
-	}
-	return n, nil
-}
-
-// commitInfeasible installs a set the engine refused (force commits and
-// removal anomalies): the batch tester takes over and the engine is
-// disarmed until feasibility returns. Caller holds s.mu.
-func (s *session) commitInfeasible(cand partfeas.TaskSet) error {
-	tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
-	if err != nil {
-		return &httpError{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	s.in.Tasks = cand
-	s.tester = tester
-	s.eng = nil
-	return nil
+		Test:      TestResponseFrom(s.engReport(res)),
+	}, nil
 }
 
 // removeTask always commits (releasing load cannot be refused) and
 // reports the re-test of the shrunken set. Sorted first-fit is not
-// monotone under removals, so the engine can (rarely) refuse a removal
-// whose shrunken set re-solves infeasible — the session still commits
-// it, on the batch path.
+// monotone under removals, so the shrunken set can (rarely) fail to
+// place; the session then holds it over capacity.
 func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
@@ -1000,10 +803,10 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 		return AdmissionResponse{}, err
 	}
 	if idx < 0 || idx >= len(s.in.Tasks) {
-		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf("task index %d out of range [0, %d)", idx, len(s.in.Tasks))}
+		return AdmissionResponse{}, badRequest("task index %d out of range [0, %d)", idx, len(s.in.Tasks))
 	}
 	if len(s.in.Tasks) == 1 {
-		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: "cannot remove the last task; delete the session instead"}
+		return AdmissionResponse{}, badRequest("cannot remove the last task; delete the session instead")
 	}
 	if err := ctxGuard(ctx); err != nil {
 		return AdmissionResponse{}, err
@@ -1011,54 +814,15 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 	if err := s.logOp(&oplog.Op{Type: oplog.TypeRemove, Session: s.id, Target: idx}); err != nil {
 		return AdmissionResponse{}, err
 	}
-	ctx = s.dur.applyCtx(ctx)
-	if s.eng != nil {
-		res, ok, err := s.eng.Remove(idx)
-		if err != nil {
-			return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		resp := AdmissionResponse{Admitted: ok, Test: TestResponseFrom(s.engReport(res))}
-		cand := append(s.in.Tasks[:idx].Clone(), s.in.Tasks[idx+1:]...)
-		switch {
-		case ok:
-			s.in.Tasks = cand
-			if s.constrained {
-				s.dls = append(s.dls[:idx], s.dls[idx+1:]...)
-			}
-			s.tester = nil
-		case s.constrained:
-			// Constrained sessions have no infeasible fallback path: the
-			// (rare) removal whose shrunken set re-solves infeasible stays
-			// resident and the client sees the rejection witness.
-			resp.RolledBack = true
-		default:
-			if err := s.commitInfeasible(cand); err != nil {
-				return AdmissionResponse{}, err
-			}
-		}
-		resp.NTasks = len(s.in.Tasks)
-		return resp, nil
-	}
-
-	cand := append(s.in.Tasks[:idx].Clone(), s.in.Tasks[idx+1:]...)
-	tester, err := partfeas.NewTester(cand, s.in.Platform, s.in.Scheduler)
+	res, ok, err := s.eng.ForceRemove(idx)
 	if err != nil {
-		return AdmissionResponse{}, err
+		return AdmissionResponse{}, badRequest("%v", err)
 	}
-	rep, err := tester.TestCtx(ctx, s.alpha)
-	if err != nil {
-		return AdmissionResponse{}, err
+	s.in.Tasks = append(s.in.Tasks[:idx], s.in.Tasks[idx+1:]...)
+	if s.constrained {
+		s.dls = append(s.dls[:idx], s.dls[idx+1:]...)
 	}
-	s.in.Tasks = cand
-	s.tester = tester
-	if rep.Accepted {
-		s.armEngine()
-	}
-	return AdmissionResponse{
-		Admitted: rep.Accepted,
-		NTasks:   len(s.in.Tasks),
-		Test:     TestResponseFrom(rep),
-	}, nil
+	return AdmissionResponse{Admitted: ok, NTasks: len(s.in.Tasks), Test: TestResponseFrom(s.engReport(res))}, nil
 }
 
 // updateWCET changes one task's WCET through the engine's incremental
@@ -1071,10 +835,7 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 		return AdmissionResponse{}, err
 	}
 	if idx < 0 || idx >= len(s.in.Tasks) {
-		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: fmt.Sprintf("task index %d out of range [0, %d)", idx, len(s.in.Tasks))}
-	}
-	if s.constrained && force {
-		return AdmissionResponse{}, errConstrainedForce
+		return AdmissionResponse{}, badRequest("task index %d out of range [0, %d)", idx, len(s.in.Tasks))
 	}
 	if err := ctxGuard(ctx); err != nil {
 		return AdmissionResponse{}, err
@@ -1082,64 +843,28 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 	if err := s.logOp(&oplog.Op{Type: oplog.TypeUpdateWCET, Session: s.id, Target: idx, WCET: wcet, Force: force}); err != nil {
 		return AdmissionResponse{}, err
 	}
-	ctx = s.dur.applyCtx(ctx)
-	if s.eng != nil {
-		res, ok, err := s.eng.UpdateWCET(idx, wcet)
-		if err != nil {
-			return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		}
-		resp := AdmissionResponse{Admitted: ok || force, Test: TestResponseFrom(s.engReport(res))}
-		switch {
-		case ok:
-			s.in.Tasks[idx].WCET = wcet
-			s.tester = nil
-		case force:
-			cand := s.in.Tasks.Clone()
-			cand[idx].WCET = wcet
-			if err := s.commitInfeasible(cand); err != nil {
-				return AdmissionResponse{}, err
-			}
-		default:
-			resp.RolledBack = true
-		}
-		resp.NTasks = len(s.in.Tasks)
-		return resp, nil
+	update := s.eng.UpdateWCET
+	if force {
+		update = s.eng.ForceUpdateWCET
 	}
-
-	tester, err := s.batchTester()
+	res, ok, err := update(idx, wcet)
 	if err != nil {
-		return AdmissionResponse{}, err
+		return AdmissionResponse{}, badRequest("%v", err)
 	}
-	old := s.in.Tasks[idx].WCET
-	if err := tester.UpdateWCET(idx, wcet); err != nil {
-		return AdmissionResponse{}, &httpError{code: http.StatusBadRequest, msg: err.Error()}
-	}
-	rep, err := tester.TestCtx(ctx, s.alpha)
-	if err != nil {
-		// Leave the session as the client knew it.
-		_ = tester.UpdateWCET(idx, old)
-		return AdmissionResponse{}, err
-	}
-	resp := AdmissionResponse{Admitted: rep.Accepted || force, Test: TestResponseFrom(rep)}
-	if resp.Admitted {
+	if ok || force {
 		s.in.Tasks[idx].WCET = wcet
-		if rep.Accepted {
-			s.armEngine()
-		}
-	} else {
-		resp.RolledBack = true
-		if err := tester.UpdateWCET(idx, old); err != nil {
-			return AdmissionResponse{}, err
-		}
 	}
-	resp.NTasks = len(s.in.Tasks)
-	return resp, nil
+	return AdmissionResponse{
+		Admitted:   ok || force,
+		RolledBack: !ok && !force,
+		NTasks:     len(s.in.Tasks),
+		Test:       TestResponseFrom(s.engReport(res)),
+	}, nil
 }
 
-// errNoEngine is the repartition answer for sessions whose resident set
-// is infeasible (engine disarmed): there is no feasible target to drift
-// from.
-var errNoEngine = &httpError{code: http.StatusConflict, msg: "session has no armed engine (resident set infeasible); restore feasibility first"}
+// errOverCapacity is the repartition answer for sessions whose resident
+// set does not place: there is no feasible state to drift from.
+var errOverCapacity = &httpError{code: http.StatusConflict, msg: "session is over capacity (resident set does not place); restore feasibility first"}
 
 // repartition measures drift between the session's live placement and
 // the paper's sorted first-fit over the same task multiset, optionally
@@ -1155,8 +880,8 @@ func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (Re
 	if s.constrained {
 		return RepartitionResponse{}, errConstrainedRepartition
 	}
-	if s.eng == nil {
-		return RepartitionResponse{}, errNoEngine
+	if !s.eng.Feasible() {
+		return RepartitionResponse{}, errOverCapacity
 	}
 	if err := ctxGuard(ctx); err != nil {
 		return RepartitionResponse{}, err

@@ -1,6 +1,7 @@
 package partfeas
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -54,7 +55,8 @@ func TestPublicSimulate(t *testing.T) {
 	if err != nil || !rep.Accepted {
 		t.Fatal("demo must be accepted")
 	}
-	res, err := Simulate(ts, p, rep.Partition.Assignment, PolicyEDF, 1, 0)
+	in := Instance{Tasks: ts, Platform: p, Scheduler: EDF}
+	res, _, err := SimulateCtx(context.Background(), in, SimulateOptions{Assignment: rep.Partition.Assignment, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
