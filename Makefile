@@ -38,11 +38,14 @@ faultsmoke:
 servesmoke:
 	$(GO) test -race -timeout 120s -count=1 ./internal/service ./cmd/serve
 
-## loadsmoke: a short open-loop Poisson run against an in-process server.
-## Every request in the mix answers 200 on a healthy server, so loadgen's
+## loadsmoke: short open-loop Poisson runs against an in-process server,
+## implicit-deadline and then constrained-deadline (-suite dbf, the one
+## served run whose concurrent admits coalesce constrained tasks). Every
+## request in the mix answers 200 on a healthy server, so loadgen's
 ## default -max-errors 0 makes any error a nonzero exit.
 loadsmoke:
 	$(GO) run ./cmd/loadgen -rate 400 -duration 2s -clients 8
+	$(GO) run ./cmd/loadgen -suite dbf -rate 400 -duration 2s -clients 8
 
 ## crashsmoke: the durability matrix under the race detector, -short
 ## subset — WAL torn-write corpus, injected crash points in append /

@@ -50,18 +50,26 @@ func (m BatchMode) String() string {
 // rejection witness when nothing was admitted. An error means the batch
 // was malformed and the engine is untouched.
 func (e *Engine) AdmitBatch(ts []task.Task, mode BatchMode) (res partition.Result, admitted []bool, err error) {
-	switch mode {
-	case BestEffort, AllOrNothing:
-	default:
-		return partition.Result{}, nil, fmt.Errorf("online: unknown batch mode %v", mode)
-	}
 	for i := range ts {
 		if err := ts[i].Validate(); err != nil {
 			return partition.Result{}, nil, fmt.Errorf("online: batch task %d: %w", i, err)
 		}
 	}
+	return e.admitBatchOp(ts, nil, mode)
+}
+
+// admitBatchOp is the public batch body shared by AdmitBatch and
+// AdmitBatchConstrained: a validated batch, run inside the
+// enterOp/exitOp bracket so a committed batch counts toward
+// PeriodicRepartition.
+func (e *Engine) admitBatchOp(ts []task.Task, dls []int64, mode BatchMode) (res partition.Result, admitted []bool, err error) {
+	switch mode {
+	case BestEffort, AllOrNothing:
+	default:
+		return partition.Result{}, nil, fmt.Errorf("online: unknown batch mode %v", mode)
+	}
 	e.enterOp()
-	res, admitted, err = e.admitBatch(ts, nil, mode)
+	res, admitted, err = e.admitBatch(ts, dls, mode)
 	if e.exitOp(err == nil && anyTrue(admitted)) {
 		res = e.Result() // re-snapshot past the applied repartition
 	}
@@ -78,8 +86,8 @@ func anyTrue(bs []bool) bool {
 }
 
 // admitBatch is the shared batch core. dls carries per-task deadlines
-// for constrained-deadline engines (nil means implicit, D = P); tasks
-// and mode are already validated.
+// for constrained-deadline engines (nil means D = P; implicit engines
+// ignore it); tasks and mode are already validated.
 func (e *Engine) admitBatch(ts []task.Task, dls []int64, mode BatchMode) (res partition.Result, admitted []bool, err error) {
 	if len(ts) == 0 {
 		return e.Result(), nil, nil

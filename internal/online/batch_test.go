@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"partfeas/internal/dbf"
 	"partfeas/internal/machine"
 	"partfeas/internal/partition"
 	"partfeas/internal/task"
@@ -260,5 +261,79 @@ func TestAdmitBatchValidation(t *testing.T) {
 	}
 	if err := e.SelfCheck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConstrainedCallsForwardImplicit pins the constrained entry points
+// on implicit-deadline engines, which sessions use for both deadline
+// models: D = P tasks are forwarded — AdmitBatchConstrained answers
+// exactly what AdmitBatch answers, periodic-repartition hook included,
+// and AdmitConstrained what Admit answers — without the constrained
+// period cap, while a D < P task is refused and leaves the engine as it
+// was.
+func TestConstrainedCallsForwardImplicit(t *testing.T) {
+	constrained := func(ts []task.Task) dbf.Set {
+		cs := make(dbf.Set, len(ts))
+		for i, tk := range ts {
+			cs[i] = dbf.Task{Name: tk.Name, WCET: tk.WCET, Deadline: tk.Period, Period: tk.Period}
+		}
+		return cs
+	}
+	for _, pol := range []Policy{FirstFitSorted(), PeriodicRepartition(FirstFitArrival(), 3)} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			p := machine.New(1, 1.5, 2)
+			seed := task.Set{{WCET: 1, Period: 1 << 20}}
+			opts := Options{Policy: pol, Admission: partition.EDFAdmission{}}
+			e, err := NewEngine(seed, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewEngine(seed, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 40; round++ {
+				bt := randBatch(rng)
+				if round%5 == 0 {
+					bt[0].Period = maxConstrainedPeriod + 1 + int64(round)
+				}
+				mode := BatchMode(rng.Intn(2))
+				res, admitted, err := e.AdmitBatchConstrained(constrained(bt), mode)
+				wres, wadmitted, werr := twin.AdmitBatch(bt, mode)
+				if err != nil || werr != nil {
+					t.Fatalf("round %d: errors %v / %v", round, err, werr)
+				}
+				if !reflect.DeepEqual(admitted, wadmitted) {
+					t.Fatalf("round %d: verdicts %v, AdmitBatch %v", round, admitted, wadmitted)
+				}
+				sameResult(t, "batch result", res.Clone(), wres.Clone())
+				one := randTask(rng)
+				r1, ok1, err1 := e.AdmitConstrained(constrained([]task.Task{one})[0])
+				r2, ok2, err2 := twin.Admit(one)
+				if err1 != nil || err2 != nil || ok1 != ok2 {
+					t.Fatalf("round %d: single admit %v/%v, errors %v / %v", round, ok1, ok2, err1, err2)
+				}
+				sameResult(t, "single result", r1.Clone(), r2.Clone())
+				sameResult(t, "state", e.Result().Clone(), twin.Result().Clone())
+				if e.RepartCount() != twin.RepartCount() {
+					t.Fatalf("round %d: repartition cadence %d, AdmitBatch twin %d", round, e.RepartCount(), twin.RepartCount())
+				}
+			}
+			if err := e.SelfCheck(); err != nil {
+				t.Fatal(err)
+			}
+			n := e.Len()
+			bad := dbf.Set{{WCET: 1, Deadline: 10, Period: 10}, {WCET: 1, Deadline: 5, Period: 10}}
+			if _, _, err := e.AdmitBatchConstrained(bad, BestEffort); err == nil {
+				t.Error("batch with D < P admitted on an implicit engine")
+			}
+			if _, _, err := e.AdmitConstrained(bad[1]); err == nil {
+				t.Error("D < P admitted on an implicit engine")
+			}
+			if e.Len() != n {
+				t.Errorf("refused admissions changed the engine: %d tasks, want %d", e.Len(), n)
+			}
+		})
 	}
 }

@@ -72,9 +72,10 @@ type dbfMemoKey struct {
 	c, d, p int64
 }
 
-// validateConstrained is the admission-time validity check for one
-// constrained task: well-formed (C ≤ D ≤ P) and under the period cap.
-func validateConstrained(t dbf.Task) error {
+// ValidateConstrained is the admission-time validity check for one
+// constrained task on a constrained-deadline engine: well-formed
+// (C ≤ D ≤ P) and under the period cap.
+func ValidateConstrained(t dbf.Task) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
@@ -98,40 +99,41 @@ func (e *Engine) ForceAdmitConstrained(t dbf.Task) (res partition.Result, ok boo
 }
 
 func (e *Engine) admitConstrained(t dbf.Task, force bool) (res partition.Result, ok bool, err error) {
-	if verr := validateConstrained(t); verr != nil {
-		return partition.Result{}, false, fmt.Errorf("online: %w", verr)
+	tt, d, err := e.splitConstrained(t)
+	if err != nil {
+		return partition.Result{}, false, fmt.Errorf("online: %w", err)
 	}
+	return e.admitOp(tt, d, force)
+}
+
+// splitConstrained validates one constrained task for this engine and
+// splits it into the engine's task and relative deadline: constrained
+// engines check C ≤ D ≤ P and the period cap, implicit engines take
+// only D = P tasks (and no period cap).
+func (e *Engine) splitConstrained(t dbf.Task) (task.Task, int64, error) {
 	tt := task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-	if e.kind != admDBF {
-		if t.Deadline != t.Period {
-			return partition.Result{}, false, fmt.Errorf("online: implicit-deadline engine cannot admit constrained deadline %d < period %d", t.Deadline, t.Period)
-		}
-		return e.admit(tt, force)
+	if e.kind == admDBF {
+		return tt, t.Deadline, ValidateConstrained(t)
 	}
-	return e.admitOne(tt, t.Deadline, force)
+	if t.Deadline != t.Period {
+		return tt, 0, fmt.Errorf("implicit-deadline engine cannot admit constrained deadline %d < period %d", t.Deadline, t.Period)
+	}
+	return tt, t.Period, tt.Validate()
 }
 
 // AdmitBatchConstrained is AdmitBatch for constrained-deadline tasks;
-// the batch shares one merged replay exactly like the implicit path.
+// the batch shares one merged replay exactly like the implicit path. On
+// an implicit-deadline engine every task must be implicit (D = P).
 func (e *Engine) AdmitBatchConstrained(ts dbf.Set, mode BatchMode) (partition.Result, []bool, error) {
-	switch mode {
-	case BestEffort, AllOrNothing:
-	default:
-		return partition.Result{}, nil, fmt.Errorf("online: unknown batch mode %v", mode)
-	}
-	if e.kind != admDBF {
-		return partition.Result{}, nil, fmt.Errorf("online: constrained batch admission needs a constrained-deadline engine")
-	}
 	tts := make([]task.Task, len(ts))
 	dls := make([]int64, len(ts))
 	for i, t := range ts {
-		if err := validateConstrained(t); err != nil {
+		var err error
+		if tts[i], dls[i], err = e.splitConstrained(t); err != nil {
 			return partition.Result{}, nil, fmt.Errorf("online: batch task %d: %w", i, err)
 		}
-		tts[i] = task.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		dls[i] = t.Deadline
 	}
-	return e.admitBatch(tts, dls, mode)
+	return e.admitBatchOp(tts, dls, mode)
 }
 
 // ApproxK reports the tiered pipeline's linearization depth (≤ 0 means

@@ -1276,8 +1276,14 @@ func (e *Engine) admit(t task.Task, force bool) (res partition.Result, ok bool, 
 		return partition.Result{}, false, fmt.Errorf("online: %w", err)
 	}
 	// On a constrained-deadline engine an implicit task is D = P.
+	return e.admitOp(t, t.Period, force)
+}
+
+// admitOp is the public single-admit body shared by Admit and
+// AdmitConstrained: a validated task inside the enterOp/exitOp bracket.
+func (e *Engine) admitOp(t task.Task, d int64, force bool) (res partition.Result, ok bool, err error) {
 	e.enterOp()
-	res, ok, err = e.admitOne(t, t.Period, force)
+	res, ok, err = e.admitOne(t, d, force)
 	if e.exitOp(err == nil && (ok || force)) {
 		res = e.Result() // re-snapshot past the applied repartition
 	}

@@ -91,7 +91,7 @@ func NewEngineForce(ts task.Set, p machine.Platform, opts Options) (*Engine, err
 		}
 		for i := range ts {
 			dt := dbf.Task{Name: ts[i].Name, WCET: ts[i].WCET, Deadline: opts.Deadlines[i], Period: ts[i].Period}
-			if err := validateConstrained(dt); err != nil {
+			if err := ValidateConstrained(dt); err != nil {
 				return nil, fmt.Errorf("online: task %d: %w", i, err)
 			}
 		}

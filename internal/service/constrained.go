@@ -7,11 +7,14 @@ package service
 // pre-filter, approximate demand band, exact processor-demand test —
 // with verdicts identical to a fresh exact constrained first-fit solve.
 //
-// Force commits, removals and creates over an infeasible set follow the
-// implicit sessions' rules: the engine holds the over-capacity set, and
-// a sorted session's answers stay those of a fresh dbf.FirstFit solve.
-// Only repartition is refused (its reference solve is the utilization
-// partitioner).
+// Constrained and implicit sessions share one session path (see
+// session.go): a task is validated against the session's deadline model
+// once, before its op is logged or queued, and every admission is one
+// call to the engine's constrained entry points, which forward D = P
+// tasks on implicit engines. What stays model-specific is here: that
+// validation, the repartition refusal (its reference solve is the
+// utilization partitioner), the ad-hoc-alpha solver, and the record
+// codec, which stores resolved deadlines only for constrained sessions.
 
 import (
 	"net/http"
@@ -19,6 +22,7 @@ import (
 	"partfeas"
 	"partfeas/internal/dbf"
 	"partfeas/internal/online"
+	"partfeas/internal/oplog"
 	"partfeas/internal/partition"
 )
 
@@ -39,42 +43,75 @@ var (
 	}
 )
 
-// checkDeadlineArg vets a mutation's deadline argument against the
-// session's model: implicit sessions only accept 0 or D = P.
-func (s *session) checkDeadlineArg(dl, period int64) error {
-	if !s.constrained && dl != 0 && dl != period {
-		return errConstrainedDeadline
+// checkTask is the one validation of an admission's record-form task,
+// run before its op is logged or queued. Every task must have a valid
+// name, WCET and period; implicit sessions then accept a deadline of 0
+// or D = P (without the constrained period cap), constrained sessions
+// require C ≤ D ≤ P under the engine's period cap.
+func (s *session) checkTask(t oplog.Task) error {
+	if err := (partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}).Validate(); err != nil {
+		return badRequest("%v", err)
+	}
+	if !s.constrained {
+		if t.Deadline != 0 && t.Deadline != t.Period {
+			return errConstrainedDeadline
+		}
+		return nil
+	}
+	if err := online.ValidateConstrained(engTask(t)); err != nil {
+		return badRequest("%v", err)
 	}
 	return nil
 }
 
-// deadlineOf resolves a wire deadline (0 = implicit) to the stored one.
-func (s *session) deadlineOf(t partfeas.Task, dl int64) int64 {
-	if dl == 0 {
-		return t.Period
+// engTask resolves a record-form task (deadline as sent, 0 = implicit)
+// to the engine's constrained task.
+func engTask(t oplog.Task) dbf.Task {
+	d := t.Deadline
+	if d == 0 {
+		d = t.Period
 	}
-	return dl
+	return dbf.Task{Name: t.Name, WCET: t.WCET, Deadline: d, Period: t.Period}
 }
 
-// constrainedTask builds the engine-facing task for one admission.
-func (s *session) constrainedTask(t partfeas.Task, dl int64) dbf.Task {
-	return dbf.Task{Name: t.Name, WCET: t.WCET, Deadline: s.deadlineOf(t, dl), Period: t.Period}
+// recordTasks is the resident set in record form, as create and
+// snapshot records hold it: each task's resolved deadline on
+// constrained sessions, 0 on implicit ones.
+func (s *session) recordTasks() []oplog.Task {
+	cs := s.eng.ConstrainedTasks()
+	ts := make([]oplog.Task, len(cs))
+	for i, t := range cs {
+		ts[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
+		if s.constrained {
+			ts[i].Deadline = t.Deadline
+		}
+	}
+	return ts
 }
 
-// constrainedSet materializes the resident multiset with its deadlines.
-func (s *session) constrainedSet() dbf.Set {
-	cs := make(dbf.Set, len(s.in.Tasks))
-	for i, t := range s.in.Tasks {
-		cs[i] = dbf.Task{Name: t.Name, WCET: t.WCET, Deadline: s.dls[i], Period: t.Period}
+// fromRecord inverts recordTasks: the engine's task set and, for a
+// constrained session's record, its deadlines (nil for implicit ones).
+func fromRecord(rs []oplog.Task, constrained bool) (partfeas.TaskSet, []int64) {
+	ts := make(partfeas.TaskSet, len(rs))
+	var dls []int64
+	if constrained {
+		dls = make([]int64, len(rs))
 	}
-	return cs
+	for i, t := range rs {
+		ts[i] = partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
+		if dls != nil {
+			dls[i] = t.Deadline
+		}
+	}
+	return ts, dls
 }
 
 // freshConstrainedReport runs a fresh exact constrained first-fit solve
 // over the resident set at an ad-hoc alpha (the session engine's state
 // is only valid at the session alpha). Caller holds s.mu.
 func (s *session) freshConstrainedReport(alpha float64) (partfeas.Report, error) {
-	feasible, assignment, err := dbf.FirstFit(s.constrainedSet(), s.in.Platform, alpha, 0)
+	cs := s.eng.ConstrainedTasks()
+	feasible, assignment, err := dbf.FirstFit(cs, s.platform, alpha, 0)
 	if err != nil {
 		return partfeas.Report{}, &httpError{code: http.StatusUnprocessableEntity, msg: err.Error()}
 	}
@@ -82,53 +119,20 @@ func (s *session) freshConstrainedReport(alpha float64) (partfeas.Report, error)
 		Feasible:   feasible,
 		Assignment: assignment,
 		FailedTask: -1,
-		Loads:      make([]float64, len(s.in.Platform)),
+		Loads:      make([]float64, len(s.platform)),
 		Alpha:      alpha,
 	}
 	for i, j := range assignment {
 		if j >= 0 {
-			res.Loads[j] += s.in.Tasks[i].Utilization()
+			res.Loads[j] += cs[i].Utilization()
 		} else if res.FailedTask < 0 {
 			res.FailedTask = i
 		}
 	}
 	return partfeas.Report{
 		Accepted:  feasible,
-		Scheduler: s.in.Scheduler,
+		Scheduler: s.sched,
 		Alpha:     alpha,
 		Partition: res,
 	}, nil
-}
-
-// createConstrained opens a constrained-deadline session, over capacity
-// if the set does not place at the session alpha. A typed analysis
-// error (horizon or demand overflow) is surfaced rather than downgraded
-// to a verdict.
-func (st *sessionStore) createConstrained(in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
-	defer st.dur.rlock()()
-	if in.Scheduler != partfeas.EDF {
-		return nil, badRequest("constrained-deadline sessions require the EDF scheduler")
-	}
-	eng, err := online.NewEngineForce(in.Tasks, in.Platform, online.Options{
-		Policy: placement, Alpha: alpha, Deadlines: dls, ApproxK: sessionApproxK,
-	})
-	if err != nil {
-		return nil, badRequest("constrained session: %v", err)
-	}
-	s := &session{
-		in: partfeas.Instance{
-			Tasks:     in.Tasks.Clone(),
-			Platform:  in.Platform.Clone(),
-			Scheduler: in.Scheduler,
-		},
-		alpha:       alpha,
-		placement:   placement,
-		constrained: true,
-		dls:         append([]int64(nil), dls...),
-		eng:         eng,
-		epoch:       1,
-		mx:          st.mx,
-		dur:         st.dur,
-	}
-	return st.insert(s, id)
 }

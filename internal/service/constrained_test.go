@@ -208,3 +208,29 @@ func TestConstrainedAdmissionMetrics(t *testing.T) {
 		t.Fatalf("tail path missing from scrape")
 	}
 }
+
+// TestImplicitSessionNoPeriodCap admits periods above the constrained
+// engines' cap (2^40) into an implicit-deadline session — single admits
+// with and without an explicit D = P, and a batch — and requires the
+// answers recorded before implicit admissions went through the engine's
+// constrained entry points: the cap is a constrained-deadline limit only.
+func TestImplicitSessionNoPeriodCap(t *testing.T) {
+	s := newTestServer(t)
+	for _, c := range []struct{ method, path, body, want string }{
+		{"POST", "/v1/sessions", `{"tasks":[{"wcet":1,"period":10}],"speeds":[1,1]}`,
+			`{"id":"s-1","scheduler":"EDF","alpha":1,"placement":"first_fit_sorted","tasks":[{"wcet":1,"period":10}],"machines":[{"name":"m0","speed":1},{"name":"m1","speed":1}],"test":{"accepted":true,"scheduler":"EDF","alpha":1,"assignment":[0],"loads":[0.1,0],"failed_task":-1},"durability":"none"}`},
+		{"POST", "/v1/sessions/s-1/tasks", `{"task":{"name":"big","wcet":3,"period":1099511627777}}`,
+			`{"admitted":true,"rolled_back":false,"n_tasks":2,"test":{"accepted":true,"scheduler":"EDF","alpha":1,"assignment":[0,0],"loads":[0.10000000000272849,0],"failed_task":-1},"durability":"none"}`},
+		{"POST", "/v1/sessions/s-1/tasks", `{"task":{"name":"bigd","wcet":3,"period":1099511627779,"deadline":1099511627779}}`,
+			`{"admitted":true,"rolled_back":false,"n_tasks":3,"test":{"accepted":true,"scheduler":"EDF","alpha":1,"assignment":[0,0,0],"loads":[0.10000000000545697,0],"failed_task":-1},"durability":"none"}`},
+		{"POST", "/v1/sessions/s-1/admit-batch", `{"tasks":[{"name":"b1","wcet":2,"period":2199023255552},{"name":"b2","wcet":9,"period":10}]}`,
+			`{"mode":"best_effort","admitted":[true,true],"n_admitted":2,"n_tasks":5,"test":{"accepted":true,"scheduler":"EDF","alpha":1,"assignment":[0,1,1,1,0],"loads":[1,6.3664629124005715e-12],"failed_task":-1},"durability":"none"}`},
+		{"GET", "/v1/sessions/s-1", "",
+			`{"id":"s-1","scheduler":"EDF","alpha":1,"placement":"first_fit_sorted","tasks":[{"wcet":1,"period":10},{"name":"big","wcet":3,"period":1099511627777},{"name":"bigd","wcet":3,"period":1099511627779},{"name":"b1","wcet":2,"period":2199023255552},{"name":"b2","wcet":9,"period":10}],"machines":[{"name":"m0","speed":1},{"name":"m1","speed":1}],"test":{"accepted":true,"scheduler":"EDF","alpha":1,"assignment":[0,1,1,1,0],"loads":[1,6.3664629124005715e-12],"failed_task":-1}}`},
+	} {
+		w := do(t, s, c.method, c.path, c.body)
+		if got := strings.TrimSpace(w.Body.String()); w.Code/100 != 2 || got != c.want {
+			t.Errorf("%s %s: %d %s\nwant %s", c.method, c.path, w.Code, got, c.want)
+		}
+	}
+}

@@ -371,20 +371,13 @@ func applySessionOp(ctx context.Context, s *session, op *oplog.Op) error {
 		if len(op.Tasks) != 1 {
 			return fmt.Errorf("op %d: admit with %d tasks", op.Index, len(op.Tasks))
 		}
-		t := op.Tasks[0]
-		_, err = s.addTask(ctx, partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}, t.Deadline, op.Force)
+		_, err = s.addTask(ctx, op.Tasks[0], op.Force)
 	case oplog.TypeAdmitBatch:
 		mode, merr := parseBatchMode(op.BatchMode)
 		if merr != nil {
 			return fmt.Errorf("op %d: %w", op.Index, merr)
 		}
-		ts := make([]partfeas.Task, len(op.Tasks))
-		dls := make([]int64, len(op.Tasks))
-		for i, t := range op.Tasks {
-			ts[i] = partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-			dls[i] = t.Deadline
-		}
-		_, err = s.addTaskBatch(ctx, ts, dls, mode)
+		_, err = s.addTaskBatch(ctx, op.Tasks, mode)
 	case oplog.TypeRemove:
 		_, err = s.removeTask(ctx, op.Target)
 	case oplog.TypeUpdateWCET:
@@ -404,19 +397,14 @@ func (d *durability) applyCreate(op *oplog.Op) error {
 	}
 	// The recorded id is replayed explicitly, so coordinator-assigned and
 	// store-assigned ids alike reconstruct byte-identically.
-	if op.DeadlineModel == "constrained" {
-		_, err = d.st.createConstrained(in, dls, op.Alpha, placement, op.Session)
-	} else {
-		_, err = d.st.create(in, op.Alpha, placement, op.Session)
-	}
-	if err != nil {
+	if _, err = d.st.create(in, dls, op.Alpha, placement, op.Session); err != nil {
 		return fmt.Errorf("op %d: replay create: %w", op.Index, err)
 	}
 	return nil
 }
 
-// instanceFromOp rebuilds a create op's instance, deadlines and
-// placement policy.
+// instanceFromOp rebuilds a create op's instance, deadlines (nil for an
+// implicit-deadline session) and placement policy.
 func instanceFromOp(op *oplog.Op) (partfeas.Instance, []int64, online.Policy, error) {
 	var in partfeas.Instance
 	sched, err := parseScheduler(op.Scheduler)
@@ -428,12 +416,8 @@ func instanceFromOp(op *oplog.Op) (partfeas.Instance, []int64, online.Policy, er
 	if err != nil {
 		return in, nil, nil, err
 	}
-	in.Tasks = make(partfeas.TaskSet, len(op.Tasks))
-	dls := make([]int64, len(op.Tasks))
-	for i, t := range op.Tasks {
-		in.Tasks[i] = partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		dls[i] = t.Deadline
-	}
+	var dls []int64
+	in.Tasks, dls = fromRecord(op.Tasks, op.DeadlineModel == "constrained")
 	in.Platform = make(partfeas.Platform, len(op.Machines))
 	for i, m := range op.Machines {
 		in.Platform[i] = partfeas.Machine{Name: m.Name, Speed: m.Speed}
@@ -460,6 +444,10 @@ func parsePlacement(s string) (online.Policy, error) {
 	return online.ParsePolicy(s)
 }
 
+// parseBatchMode resolves a wire or recorded batch mode; empty means
+// best effort. The error is plain, not an httpError: an unknown mode in
+// a recorded op must fail replay, not pass for a deterministic
+// rejection. The handler turns it into a 400.
 func parseBatchMode(s string) (online.BatchMode, error) {
 	switch s {
 	case "", online.BestEffort.String():
@@ -467,7 +455,7 @@ func parseBatchMode(s string) (online.BatchMode, error) {
 	case online.AllOrNothing.String():
 		return online.AllOrNothing, nil
 	}
-	return 0, fmt.Errorf("unknown batch mode %q", s)
+	return 0, fmt.Errorf("unknown mode %q (want %q or %q)", s, online.BestEffort, online.AllOrNothing)
 }
 
 // The snapshot payload: the store serialized as JSON inside oplog's
@@ -509,27 +497,22 @@ type sessionSnap struct {
 // snapOf builds one session's snapshot record. Caller holds s.mu (or has
 // sole ownership).
 func snapOf(s *session) sessionSnap {
+	pol := s.eng.PlacementPolicy()
 	ss := sessionSnap{
 		ID:          s.id,
-		Scheduler:   s.in.Scheduler.String(),
-		Alpha:       s.alpha,
-		Placement:   s.placement.Name(),
+		Scheduler:   s.sched.String(),
+		Alpha:       s.eng.Alpha(),
+		Placement:   pol.Name(),
 		Constrained: s.constrained,
-		Tasks:       make([]oplog.Task, len(s.in.Tasks)),
-		Machines:    make([]MachineJSON, len(s.in.Platform)),
+		Tasks:       s.recordTasks(),
+		Machines:    make([]MachineJSON, len(s.platform)),
 		Engine:      s.eng.Feasible(),
 		Epoch:       s.epoch,
 	}
-	for i, t := range s.in.Tasks {
-		ss.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		if s.constrained {
-			ss.Tasks[i].Deadline = s.dls[i]
-		}
-	}
-	for i, m := range s.in.Platform {
+	for i, m := range s.platform {
 		ss.Machines[i] = MachineJSON{Name: m.Name, Speed: m.Speed}
 	}
-	if ss.Engine || !s.placement.Ordered() {
+	if ss.Engine || !pol.Ordered() {
 		ss.Placed = s.eng.PlacedLists()
 		ss.RepartCnt = s.eng.RepartCount()
 	}
@@ -619,39 +602,21 @@ func (st *sessionStore) restoreSession(ss *sessionSnap) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &session{
-		id:          ss.ID,
-		alpha:       ss.Alpha,
-		placement:   placement,
-		constrained: ss.Constrained,
-		epoch:       ss.Epoch,
-		mx:          st.mx,
-		dur:         st.dur,
-	}
-	if s.epoch == 0 {
-		s.epoch = 1 // pre-cluster snapshot
-	}
-	s.in.Scheduler = sched
-	s.in.Tasks = make(partfeas.TaskSet, len(ss.Tasks))
-	for i, t := range ss.Tasks {
-		s.in.Tasks[i] = partfeas.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-	}
-	s.in.Platform = make(partfeas.Platform, len(ss.Machines))
+	in := partfeas.Instance{Scheduler: sched, Platform: make(partfeas.Platform, len(ss.Machines))}
 	for i, m := range ss.Machines {
-		s.in.Platform[i] = partfeas.Machine{Name: m.Name, Speed: m.Speed}
+		in.Platform[i] = partfeas.Machine{Name: m.Name, Speed: m.Speed}
 	}
-	opts := online.Options{Policy: placement, Alpha: ss.Alpha, Placed: snapPlaced(ss), RepartCnt: ss.RepartCnt}
-	if ss.Constrained {
-		s.dls = make([]int64, len(ss.Tasks))
-		for i, t := range ss.Tasks {
-			s.dls[i] = t.Deadline
-		}
-		opts.Deadlines, opts.ApproxK = s.dls, sessionApproxK
-	} else if opts.Admission, err = sched.Admission(); err != nil {
+	var dls []int64
+	in.Tasks, dls = fromRecord(ss.Tasks, ss.Constrained)
+	s, err := st.newSession(in, dls, online.Options{
+		Policy: placement, Alpha: ss.Alpha, Placed: snapPlaced(ss), RepartCnt: ss.RepartCnt,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if s.eng, err = online.NewEngineForce(s.in.Tasks, s.in.Platform, opts); err != nil {
-		return nil, err
+	s.id = ss.ID
+	if ss.Epoch != 0 { // 0 in pre-cluster snapshots, which restore at epoch 1
+		s.epoch = ss.Epoch
 	}
 	return s, nil
 }

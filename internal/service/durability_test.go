@@ -26,6 +26,7 @@ import (
 	"partfeas"
 	"partfeas/internal/faultinject"
 	"partfeas/internal/online"
+	"partfeas/internal/oplog"
 )
 
 var errInjectedDisk = errors.New("injected disk failure")
@@ -92,11 +93,11 @@ func durabilityScript() []scriptStep {
 	}
 	return []scriptStep{
 		{"create-s1-sorted-edf", func(srv *Server) error {
-			_, err := srv.sessions.create(instance(partfeas.EDF), 1, online.FirstFitSorted(), "")
+			_, err := srv.sessions.create(instance(partfeas.EDF), nil, 1, online.FirstFitSorted(), "")
 			return err
 		}},
 		{"create-s2-arrival-rms", func(srv *Server) error {
-			_, err := srv.sessions.create(instance(partfeas.RMS), 2, online.FirstFitArrival(), "")
+			_, err := srv.sessions.create(instance(partfeas.RMS), nil, 2, online.FirstFitArrival(), "")
 			return err
 		}},
 		{"create-s3-constrained", func(srv *Server) error {
@@ -105,27 +106,27 @@ func durabilityScript() []scriptStep {
 				Platform:  partfeas.Platform{{Name: "c0", Speed: 1}, {Name: "c1", Speed: 1}},
 				Scheduler: partfeas.EDF,
 			}
-			_, err := srv.sessions.createConstrained(in, []int64{3, 8}, 1, online.FirstFitSorted(), "")
+			_, err := srv.sessions.create(in, []int64{3, 8}, 1, online.FirstFitSorted(), "")
 			return err
 		}},
 		{"s1-admit", withSession("s-1", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "ui", WCET: 2, Period: 12}, 0, false)
+			_, err := s.addTask(ctx, oplog.Task{Name: "ui", WCET: 2, Period: 12}, false)
 			return err
 		})},
 		{"s2-admit", withSession("s-2", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "sensor", WCET: 1, Period: 20}, 0, false)
+			_, err := s.addTask(ctx, oplog.Task{Name: "sensor", WCET: 1, Period: 20}, false)
 			return err
 		})},
 		{"s1-batch-best-effort", withSession("s-1", func(s *session) error {
 			_, err := s.addTaskBatch(ctx,
-				[]partfeas.Task{{Name: "x1", WCET: 1, Period: 5}, {Name: "x2", WCET: 40, Period: 50}, {Name: "x3", WCET: 1, Period: 7}},
-				[]int64{0, 0, 0}, online.BestEffort)
+				[]oplog.Task{{Name: "x1", WCET: 1, Period: 5}, {Name: "x2", WCET: 40, Period: 50}, {Name: "x3", WCET: 1, Period: 7}},
+				online.BestEffort)
 			return err
 		})},
 		{"s2-batch-all-or-nothing", withSession("s-2", func(s *session) error {
 			_, err := s.addTaskBatch(ctx,
-				[]partfeas.Task{{Name: "y1", WCET: 1, Period: 9}, {Name: "y2", WCET: 1, Period: 11}},
-				[]int64{0, 0}, online.AllOrNothing)
+				[]oplog.Task{{Name: "y1", WCET: 1, Period: 9}, {Name: "y2", WCET: 1, Period: 11}},
+				online.AllOrNothing)
 			return err
 		})},
 		{"create-s4", func(srv *Server) error {
@@ -134,11 +135,11 @@ func durabilityScript() []scriptStep {
 				Platform:  partfeas.Platform{{Name: "q0", Speed: 1}},
 				Scheduler: partfeas.EDF,
 			}
-			_, err := srv.sessions.create(in, 1, online.FirstFitSorted(), "")
+			_, err := srv.sessions.create(in, nil, 1, online.FirstFitSorted(), "")
 			return err
 		}},
 		{"s4-force-infeasible", withSession("s-4", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "hog", WCET: 100, Period: 10}, 0, true)
+			_, err := s.addTask(ctx, oplog.Task{Name: "hog", WCET: 100, Period: 10}, true)
 			return err
 		})},
 		{"s4-wcet-recover", withSession("s-4", func(s *session) error {
@@ -150,7 +151,7 @@ func durabilityScript() []scriptStep {
 			return err
 		})},
 		{"s3-admit-constrained", withSession("s-3", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "cc", WCET: 1, Period: 6}, 5, false)
+			_, err := s.addTask(ctx, oplog.Task{Name: "cc", WCET: 1, Period: 6, Deadline: 5}, false)
 			return err
 		})},
 		{"s2-repartition-apply", withSession("s-2", func(s *session) error {
@@ -162,7 +163,7 @@ func durabilityScript() []scriptStep {
 			return err
 		})},
 		{"create-s5", func(srv *Server) error {
-			_, err := srv.sessions.create(instance(partfeas.EDF), 1.5, online.FirstFitSorted(), "")
+			_, err := srv.sessions.create(instance(partfeas.EDF), nil, 1.5, online.FirstFitSorted(), "")
 			return err
 		}},
 		{"destroy-s5", func(srv *Server) error {
@@ -176,18 +177,18 @@ func durabilityScript() []scriptStep {
 		// policy name ("best_fit") and replay/restore must resolve it
 		// through the same ParsePolicy grammar the handlers use.
 		{"create-s6-bestfit", func(srv *Server) error {
-			_, err := srv.sessions.create(instance(partfeas.EDF), 1, online.BestFit(), "")
+			_, err := srv.sessions.create(instance(partfeas.EDF), nil, 1, online.BestFit(), "")
 			return err
 		}},
 		{"s6-admit", withSession("s-6", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "bf", WCET: 2, Period: 9}, 0, false)
+			_, err := s.addTask(ctx, oplog.Task{Name: "bf", WCET: 2, Period: 9}, false)
 			return err
 		})},
 		// Over capacity under a local policy: the forced hog fits no
 		// machine and waits unplaced; the removal frees capacity, which
 		// is offered to it again (still too little).
 		{"s6-force-admit", withSession("s-6", func(s *session) error {
-			_, err := s.addTask(ctx, partfeas.Task{Name: "hog6", WCET: 50, Period: 10}, 0, true)
+			_, err := s.addTask(ctx, oplog.Task{Name: "hog6", WCET: 50, Period: 10}, true)
 			return err
 		})},
 		{"s6-remove", withSession("s-6", func(s *session) error {
@@ -258,7 +259,7 @@ func TestDurableRecoveryByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovered s-1: %v", err)
 			}
-			if _, err := s1.addTask(context.Background(), partfeas.Task{Name: "probe", WCET: 1, Period: 100}, 0, false); err != nil {
+			if _, err := s1.addTask(context.Background(), oplog.Task{Name: "probe", WCET: 1, Period: 100}, false); err != nil {
 				t.Errorf("admission on recovered session: %v", err)
 			}
 			rec.Crash()
@@ -390,7 +391,7 @@ func TestDestroyMutationWALOrdering(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		dir := t.TempDir()
 		srv := mustDurable(t, dir, Config{FsyncInterval: -1, SnapshotEvery: -1})
-		s, err := srv.sessions.create(in, 1, online.FirstFitSorted(), "")
+		s, err := srv.sessions.create(in, nil, 1, online.FirstFitSorted(), "")
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
@@ -404,7 +405,7 @@ func TestDestroyMutationWALOrdering(t *testing.T) {
 				for i := 0; ; i++ {
 					var err error
 					if i%2 == 0 {
-						_, err = s.addTask(ctx, partfeas.Task{Name: fmt.Sprintf("w%d-%d", w, i), WCET: 1, Period: 1000}, 0, false)
+						_, err = s.addTask(ctx, oplog.Task{Name: fmt.Sprintf("w%d-%d", w, i), WCET: 1, Period: 1000}, false)
 					} else {
 						_, err = s.updateWCET(ctx, 0, int64(1+i%2), false)
 					}
@@ -515,6 +516,36 @@ func TestReplayFaultPanic(t *testing.T) {
 		t.Errorf("recovery after replay crash differs:\n got %s\nwant %s", got, want)
 	}
 	rec.Crash()
+}
+
+// TestRecoveryRejectsUnknownBatchMode pins that a recorded batch with an
+// unknown mode fails recovery: it is damaged history, not a
+// deterministic rejection to skip along with the tasks it admitted.
+func TestRecoveryRejectsUnknownBatchMode(t *testing.T) {
+	dir := t.TempDir()
+	srv := mustDurable(t, dir, Config{FsyncInterval: -1, SnapshotEvery: -1})
+	if w := do(t, srv, "POST", "/v1/sessions", `{"tasks":[{"name":"a","wcet":1,"period":4}],"speeds":[1]}`); w.Code != 201 {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	srv.Crash()
+
+	wal, err := oplog.Open(dir, oplog.Options{FsyncInterval: -1, Start: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := &oplog.Op{Type: oplog.TypeAdmitBatch, Session: "s-1", BatchMode: "bogus",
+		Tasks: []oplog.Task{{Name: "b", WCET: 1, Period: 8}}}
+	if _, err := wal.Append(op); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = NewDurable(Config{DataDir: dir, FsyncInterval: -1, SnapshotEvery: -1, Logf: t.Logf})
+	if err == nil || !strings.Contains(err.Error(), `unknown mode "bogus"`) {
+		t.Fatalf("recovery over a bogus batch mode: err %v, want an unknown-mode failure", err)
+	}
 }
 
 // TestDegradedReadOnly pins the failure-mode contract at the HTTP

@@ -14,6 +14,7 @@ import (
 
 	"partfeas"
 	"partfeas/internal/online"
+	"partfeas/internal/oplog"
 )
 
 // StatusClientClosedRequest is recorded (nginx's 499 convention) when a
@@ -305,16 +306,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (an
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
+	var dls []int64
+	if constrained {
+		dls = req.Deadlines()
+	}
 	// X-Session-ID is the coordinator's pre-assigned id: the
 	// consistent-hash ring routes by id, so the id must exist before the
 	// session does. Direct clients normally omit it and get "s-<n>".
-	id := r.Header.Get("X-Session-ID")
-	var sess *session
-	if constrained {
-		sess, err = s.sessions.createConstrained(in, req.Deadlines(), req.Alpha, placement, id)
-	} else {
-		sess, err = s.sessions.create(in, req.Alpha, placement, id)
-	}
+	sess, err := s.sessions.create(in, dls, req.Alpha, placement, r.Header.Get("X-Session-ID"))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -378,17 +377,13 @@ func (s *Server) handleSessionAddTask(w http.ResponseWriter, r *http.Request) (a
 	if err := decode(w, r, &req); err != nil {
 		return nil, 0, err
 	}
-	t := partfeas.Task{Name: req.Task.Name, WCET: req.Task.WCET, Period: req.Task.Period}
-	if err := t.Validate(); err != nil {
-		return nil, 0, badRequest("%v", err)
-	}
 	sess, err := s.sessions.get(r.PathValue("id"))
 	if err != nil {
 		return nil, 0, err
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	resp, err := sess.addTask(ctx, t, req.Task.Deadline, req.Force)
+	resp, err := sess.addTask(ctx, oplog.Task(req.Task), req.Force)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -401,23 +396,13 @@ func (s *Server) handleSessionAdmitBatch(w http.ResponseWriter, r *http.Request)
 	if err := decode(w, r, &req); err != nil {
 		return nil, 0, err
 	}
-	var mode online.BatchMode
-	switch req.Mode {
-	case "", online.BestEffort.String():
-		mode = online.BestEffort
-	case online.AllOrNothing.String():
-		mode = online.AllOrNothing
-	default:
-		return nil, 0, badRequest("unknown mode %q (want %q or %q)", req.Mode, online.BestEffort, online.AllOrNothing)
+	mode, err := parseBatchMode(req.Mode)
+	if err != nil {
+		return nil, 0, badRequest("%v", err)
 	}
-	ts := make([]partfeas.Task, len(req.Tasks))
-	dls := make([]int64, len(req.Tasks))
+	ts := make([]oplog.Task, len(req.Tasks))
 	for i, tj := range req.Tasks {
-		ts[i] = partfeas.Task{Name: tj.Name, WCET: tj.WCET, Period: tj.Period}
-		dls[i] = tj.Deadline
-		if err := ts[i].Validate(); err != nil {
-			return nil, 0, badRequest("batch task %d: %v", i, err)
-		}
+		ts[i] = oplog.Task(tj)
 	}
 	sess, err := s.sessions.get(r.PathValue("id"))
 	if err != nil {
@@ -425,7 +410,7 @@ func (s *Server) handleSessionAdmitBatch(w http.ResponseWriter, r *http.Request)
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	resp, err := sess.addTaskBatch(ctx, ts, dls, mode)
+	resp, err := sess.addTaskBatch(ctx, ts, mode)
 	if err != nil {
 		return nil, 0, err
 	}

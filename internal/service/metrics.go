@@ -16,6 +16,57 @@ const (
 	histBase    = time.Microsecond
 )
 
+// latencyHist is one log-bucketed latency histogram with its
+// observation count and sum. Every method is lock-free.
+type latencyHist struct {
+	buckets [histBuckets + 1]atomic.Uint64
+	count   atomic.Uint64
+	sum     atomic.Uint64 // nanoseconds
+}
+
+func (h *latencyHist) observe(d time.Duration) {
+	h.buckets[bucketOf(d)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(uint64(d.Nanoseconds()))
+}
+
+// quantile estimates the q-quantile (0 < q < 1) as the upper bound of
+// the bucket holding the q-th observation (the overflow bucket reports
+// the last finite bound); 0 with no data.
+func (h *latencyHist) quantile(q float64) time.Duration {
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(q * float64(total))
+	if rank >= total {
+		rank = total - 1
+	}
+	var cum uint64
+	for i := 0; i < histBuckets; i++ {
+		cum += h.buckets[i].Load()
+		if cum > rank {
+			return histBase << uint(i)
+		}
+	}
+	return histBase << uint(histBuckets-1)
+}
+
+// writeSummary renders h as the body of a Prometheus summary: the p50,
+// p90 and p99 bucket bounds, _sum and _count. label, when non-empty, is
+// one extra `key="value"` label on every line.
+func (h *latencyHist) writeSummary(w io.Writer, name, label string) {
+	qsep, sel := "", ""
+	if label != "" {
+		qsep, sel = label+",", "{"+label+"}"
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		fmt.Fprintf(w, "%s{%squantile=\"%g\"} %g\n", name, qsep, q, h.quantile(q).Seconds())
+	}
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, float64(h.sum.Load())/1e9)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, h.count.Load())
+}
+
 // Metrics aggregates the counters behind the /metrics endpoint: request
 // counts by endpoint and status code, in-flight and cancellation gauges,
 // tester-cache hit ratio, and request-latency quantiles (p50/p90/p99)
@@ -30,24 +81,18 @@ type Metrics struct {
 
 	mu       sync.Mutex
 	requests map[reqKey]uint64
+	reqLat   latencyHist
 
-	hist    [histBuckets + 1]atomic.Uint64
-	histCnt atomic.Uint64
-	histSum atomic.Uint64 // nanoseconds
+	// Per-path session-admission latency (engine mutation time, not
+	// whole-request time); each histogram's count is the path's total.
+	admit [nPaths]latencyHist
 
-	// Per-path session-admission counters and latency histograms
-	// (engine mutation time, not whole-request time).
-	admitHist [nPaths][histBuckets + 1]atomic.Uint64
-	admitCnt  [nPaths]atomic.Uint64
-	admitSum  [nPaths]atomic.Uint64 // nanoseconds
-
-	// Session migration counters: completed outbound/inbound handoffs,
-	// failed attempts, and the end-to-end duration of outbound ones.
-	migrOut    atomic.Uint64
+	// Session migrations: the end-to-end duration of completed outbound
+	// handoffs (whose count is the outbound total), completed inbound
+	// handoffs, and failed attempts.
+	migrOut    latencyHist
 	migrIn     atomic.Uint64
 	migrFailed atomic.Uint64
-	migrHist   [histBuckets + 1]atomic.Uint64
-	migrSum    atomic.Uint64 // nanoseconds
 
 	// sessionsActive, poolStats and walStats are read at scrape time.
 	// walStats is nil on a non-durable server, which omits the
@@ -142,9 +187,7 @@ func (m *Metrics) RequestDone(endpoint string, code int, d time.Duration) {
 	m.mu.Lock()
 	m.requests[reqKey{endpoint, code}]++
 	m.mu.Unlock()
-	m.hist[bucketOf(d)].Add(1)
-	m.histCnt.Add(1)
-	m.histSum.Add(uint64(d.Nanoseconds()))
+	m.reqLat.observe(d)
 }
 
 // RequestCanceled counts a request abandoned by its client mid-flight.
@@ -156,18 +199,12 @@ func (m *Metrics) AdmissionObserved(p AdmissionPath, d time.Duration) {
 	if p < 0 || p >= nPaths {
 		return
 	}
-	m.admitHist[p][bucketOf(d)].Add(1)
-	m.admitCnt[p].Add(1)
-	m.admitSum[p].Add(uint64(d.Nanoseconds()))
+	m.admit[p].observe(d)
 }
 
 // MigrationOut records one completed outbound session handoff and its
 // end-to-end duration (snapshot through confirmed commit).
-func (m *Metrics) MigrationOut(d time.Duration) {
-	m.migrOut.Add(1)
-	m.migrHist[bucketOf(d)].Add(1)
-	m.migrSum.Add(uint64(d.Nanoseconds()))
-}
+func (m *Metrics) MigrationOut(d time.Duration) { m.migrOut.observe(d) }
 
 // MigrationIn records one session activated here by an inbound handoff.
 func (m *Metrics) MigrationIn() { m.migrIn.Add(1) }
@@ -175,53 +212,6 @@ func (m *Metrics) MigrationIn() { m.migrIn.Add(1) }
 // MigrationFailed records one migration attempt that did not complete
 // (the session is either still live at the source or re-drivable).
 func (m *Metrics) MigrationFailed() { m.migrFailed.Add(1) }
-
-// admitQuantile estimates the q-quantile of one path's admission
-// latency histogram; 0 with no data.
-func (m *Metrics) admitQuantile(p AdmissionPath, q float64) time.Duration {
-	total := m.admitCnt[p].Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i := 0; i <= histBuckets; i++ {
-		cum += m.admitHist[p][i].Load()
-		if cum > rank {
-			if i == histBuckets {
-				return histBase << uint(histBuckets-1)
-			}
-			return histBase << uint(i)
-		}
-	}
-	return histBase << uint(histBuckets-1)
-}
-
-// histQuantile estimates the q-quantile of a log-bucketed histogram with
-// the given observation count; 0 with no data.
-func histQuantile(hist *[histBuckets + 1]atomic.Uint64, total uint64, q float64) time.Duration {
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i := 0; i <= histBuckets; i++ {
-		cum += hist[i].Load()
-		if cum > rank {
-			if i == histBuckets {
-				return histBase << uint(histBuckets-1)
-			}
-			return histBase << uint(i)
-		}
-	}
-	return histBase << uint(histBuckets-1)
-}
 
 func bucketOf(d time.Duration) int {
 	if d < 0 {
@@ -233,30 +223,6 @@ func bucketOf(d time.Duration) int {
 		}
 	}
 	return histBuckets
-}
-
-// quantile estimates the q-quantile (0 < q < 1) from the histogram as the
-// upper bound of the bucket holding the q-th observation; 0 with no data.
-func (m *Metrics) quantile(q float64) time.Duration {
-	total := m.histCnt.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i := 0; i <= histBuckets; i++ {
-		cum += m.hist[i].Load()
-		if cum > rank {
-			if i == histBuckets {
-				return histBase << uint(histBuckets-1)
-			}
-			return histBase << uint(i)
-		}
-	}
-	return histBase << uint(histBuckets-1)
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition
@@ -330,32 +296,24 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP partfeas_migrations_total Completed session migrations by direction.\n")
 	fmt.Fprintf(w, "# TYPE partfeas_migrations_total counter\n")
-	fmt.Fprintf(w, "partfeas_migrations_total{direction=\"out\"} %d\n", m.migrOut.Load())
+	fmt.Fprintf(w, "partfeas_migrations_total{direction=\"out\"} %d\n", m.migrOut.count.Load())
 	fmt.Fprintf(w, "partfeas_migrations_total{direction=\"in\"} %d\n", m.migrIn.Load())
 	fmt.Fprintf(w, "# HELP partfeas_migration_failures_total Migration attempts that did not complete.\n")
 	fmt.Fprintf(w, "# TYPE partfeas_migration_failures_total counter\n")
 	fmt.Fprintf(w, "partfeas_migration_failures_total %d\n", m.migrFailed.Load())
 	fmt.Fprintf(w, "# HELP partfeas_migration_duration_seconds Outbound migration end-to-end latency quantiles (log-bucket upper bounds).\n")
 	fmt.Fprintf(w, "# TYPE partfeas_migration_duration_seconds summary\n")
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		fmt.Fprintf(w, "partfeas_migration_duration_seconds{quantile=\"%g\"} %g\n", q, histQuantile(&m.migrHist, m.migrOut.Load(), q).Seconds())
-	}
-	fmt.Fprintf(w, "partfeas_migration_duration_seconds_sum %g\n", float64(m.migrSum.Load())/1e9)
-	fmt.Fprintf(w, "partfeas_migration_duration_seconds_count %d\n", m.migrOut.Load())
+	m.migrOut.writeSummary(w, "partfeas_migration_duration_seconds", "")
 
 	fmt.Fprintf(w, "# HELP partfeas_admissions_total Session admissions by engine path.\n")
 	fmt.Fprintf(w, "# TYPE partfeas_admissions_total counter\n")
 	for p := AdmissionPath(0); p < nPaths; p++ {
-		fmt.Fprintf(w, "partfeas_admissions_total{path=%q} %d\n", p.String(), m.admitCnt[p].Load())
+		fmt.Fprintf(w, "partfeas_admissions_total{path=%q} %d\n", p.String(), m.admit[p].count.Load())
 	}
 	fmt.Fprintf(w, "# HELP partfeas_admission_duration_seconds Engine admission latency quantiles by path (log-bucket upper bounds).\n")
 	fmt.Fprintf(w, "# TYPE partfeas_admission_duration_seconds summary\n")
 	for p := AdmissionPath(0); p < nPaths; p++ {
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			fmt.Fprintf(w, "partfeas_admission_duration_seconds{path=%q,quantile=\"%g\"} %g\n", p.String(), q, m.admitQuantile(p, q).Seconds())
-		}
-		fmt.Fprintf(w, "partfeas_admission_duration_seconds_sum{path=%q} %g\n", p.String(), float64(m.admitSum[p].Load())/1e9)
-		fmt.Fprintf(w, "partfeas_admission_duration_seconds_count{path=%q} %d\n", p.String(), m.admitCnt[p].Load())
+		m.admit[p].writeSummary(w, "partfeas_admission_duration_seconds", fmt.Sprintf("path=%q", p.String()))
 	}
 
 	if m.walStats != nil {
@@ -398,9 +356,5 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP partfeas_http_request_duration_seconds Request latency quantiles (log-bucket upper bounds).\n")
 	fmt.Fprintf(w, "# TYPE partfeas_http_request_duration_seconds summary\n")
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		fmt.Fprintf(w, "partfeas_http_request_duration_seconds{quantile=\"%g\"} %g\n", q, m.quantile(q).Seconds())
-	}
-	fmt.Fprintf(w, "partfeas_http_request_duration_seconds_sum %g\n", float64(m.histSum.Load())/1e9)
-	fmt.Fprintf(w, "partfeas_http_request_duration_seconds_count %d\n", m.histCnt.Load())
+	m.reqLat.writeSummary(w, "partfeas_http_request_duration_seconds", "")
 }

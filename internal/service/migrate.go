@@ -164,7 +164,7 @@ func (s *Server) handleSessionIndex(_ http.ResponseWriter, _ *http.Request) (any
 	idx := SessionIndex{Sessions: make([]SessionInfo, len(sessions)), Moved: moved}
 	for i, sess := range sessions {
 		sess.mu.Lock()
-		idx.Sessions[i] = SessionInfo{ID: sess.id, Epoch: sess.epoch, NTasks: len(sess.in.Tasks)}
+		idx.Sessions[i] = SessionInfo{ID: sess.id, Epoch: sess.epoch, NTasks: sess.eng.Len()}
 		sess.mu.Unlock()
 	}
 	sort.Slice(idx.Sessions, func(i, j int) bool { return idx.Sessions[i].ID < idx.Sessions[j].ID })

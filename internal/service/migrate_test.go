@@ -25,6 +25,7 @@ import (
 	"partfeas"
 	"partfeas/internal/faultinject"
 	"partfeas/internal/online"
+	"partfeas/internal/oplog"
 )
 
 // startHTTP puts a Server on a real loopback listener (migration is an
@@ -115,14 +116,14 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 			}
 			name := fmt.Sprintf("t%d", i)
 			ops[i] = func(ctx context.Context, s *session) error {
-				_, err := s.addTask(ctx, partfeas.Task{Name: name, WCET: w, Period: p}, dl, force)
+				_, err := s.addTask(ctx, oplog.Task{Name: name, WCET: w, Period: p, Deadline: dl}, force)
 				return err
 			}
 		case k < 8: // remove a pseudo-random resident
 			pick := rng.Intn(64)
 			ops[i] = func(ctx context.Context, s *session) error {
 				s.mu.Lock()
-				n := len(s.in.Tasks)
+				n := s.eng.Len()
 				s.mu.Unlock()
 				if n == 0 {
 					return nil
@@ -134,7 +135,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 			pick, w := rng.Intn(64), int64(1+rng.Intn(5))
 			ops[i] = func(ctx context.Context, s *session) error {
 				s.mu.Lock()
-				n := len(s.in.Tasks)
+				n := s.eng.Len()
 				s.mu.Unlock()
 				if n == 0 {
 					return nil
@@ -148,7 +149,7 @@ func migScript(seed int64, n int, constrained bool) []migOp {
 				p := w * int64(4+rng.Intn(10))
 				name := fmt.Sprintf("r%d", i)
 				ops[i] = func(ctx context.Context, s *session) error {
-					_, err := s.addTask(ctx, partfeas.Task{Name: name, WCET: w, Period: p}, p, false)
+					_, err := s.addTask(ctx, oplog.Task{Name: name, WCET: w, Period: p, Deadline: p}, false)
 					return err
 				}
 			} else {
@@ -208,13 +209,11 @@ func createMigSession(t testing.TB, srv *Server, c migCase, id string) *session 
 		Platform:  partfeas.Platform{{Name: "m0", Speed: 1}, {Name: "m1", Speed: 1}, {Name: "m2", Speed: 4}},
 		Scheduler: c.sched,
 	}
-	var s *session
-	var err error
+	var dls []int64
 	if c.constrained {
-		s, err = srv.sessions.createConstrained(in, []int64{20, 3, 8}, 1, c.policy, id)
-	} else {
-		s, err = srv.sessions.create(in, 1, c.policy, id)
+		dls = []int64{20, 3, 8}
 	}
+	s, err := srv.sessions.create(in, dls, 1, c.policy, id)
 	if err != nil {
 		t.Fatalf("create %s: %v", c.name, err)
 	}
@@ -305,7 +304,7 @@ func TestMigrationFenceStaleOwner(t *testing.T) {
 		Site: faultinject.SiteMigrateCutover,
 		OnFire: func() {
 			fired = true
-			_, fenceErr = sess.addTask(context.Background(), partfeas.Task{Name: "late", WCET: 1, Period: 50}, 0, false)
+			_, fenceErr = sess.addTask(context.Background(), oplog.Task{Name: "late", WCET: 1, Period: 50}, false)
 		},
 	})
 	_, err := src.migrateTo(context.Background(), "f-1", dstURL)
@@ -334,7 +333,7 @@ func TestMigrationFenceStaleOwner(t *testing.T) {
 
 	// And the stale source can never acknowledge again: the old handle is
 	// closed, the store redirects.
-	if _, err := sess.addTask(context.Background(), partfeas.Task{Name: "later", WCET: 1, Period: 50}, 0, false); err == nil {
+	if _, err := sess.addTask(context.Background(), oplog.Task{Name: "later", WCET: 1, Period: 50}, false); err == nil {
 		t.Fatal("stale owner acknowledged a post-migration mutation")
 	}
 	if err := src.sessions.remove("f-1"); err == nil {
@@ -423,7 +422,7 @@ func TestMigrationCrashMatrix(t *testing.T) {
 				if gerr != nil {
 					t.Fatalf("session gone after pre-cutover fault: %v", gerr)
 				}
-				if _, aerr := s.addTask(context.Background(), partfeas.Task{Name: "post", WCET: 1, Period: 40}, 0, false); aerr != nil {
+				if _, aerr := s.addTask(context.Background(), oplog.Task{Name: "post", WCET: 1, Period: 40}, false); aerr != nil {
 					t.Fatalf("session not mutable after aborted migration: %v", aerr)
 				}
 			case faultinject.SiteMigrateStream, faultinject.SiteMigrateReplay:
@@ -628,7 +627,7 @@ func TestMigrationMetricsMove(t *testing.T) {
 	if _, err := src.migrateTo(context.Background(), "mm-1", dstURL); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
-	if got := src.metrics.migrOut.Load(); got != 1 {
+	if got := src.metrics.migrOut.count.Load(); got != 1 {
 		t.Errorf("source migrations out = %d, want 1", got)
 	}
 	if got := dst.metrics.migrIn.Load(); got != 1 {

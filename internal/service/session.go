@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -18,9 +19,15 @@ import (
 // session is one live admission-control session: a task set under
 // negotiation against a fixed platform and scheduler.
 //
-// Every mutation is served by an incremental online.Engine that keeps
-// live per-machine load state, so an admit/remove/update costs a suffix
-// replay (typically O(log m)) instead of a full re-solve. A force
+// The session's online.Engine is the only copy of its resident set:
+// task ids, WCETs and deadlines, the alpha and the placement policy are
+// all read back from it. The engine keeps live per-machine load state,
+// so an admit/remove/update costs a suffix replay (typically O(log m))
+// instead of a full re-solve. Implicit- and constrained-deadline
+// sessions share one path: every admission validates its task once,
+// resolves its deadline (0 means D = P) and goes through the engine's
+// constrained entry points, which forward D = P tasks on implicit
+// engines. A force
 // commit, a removal whose shrunken set does not place, or a create over
 // an infeasible set leaves the engine holding an over-capacity set (see
 // the online package doc): sorted sessions then answer exactly what a
@@ -39,15 +46,20 @@ import (
 // one session see a linearizable task set; distinct sessions share
 // nothing and proceed in parallel.
 type session struct {
-	mu        sync.Mutex
-	id        string
-	in        partfeas.Instance
-	alpha     float64
-	placement online.Policy
-	eng       *online.Engine
-	closed    bool
-	mx        *Metrics    // per-path admission metrics; nil in bare tests
-	dur       *durability // WAL ack gate; nil without -data-dir (all calls nil-safe)
+	mu sync.Mutex
+	id string
+
+	// Immutable configuration. Constrained-deadline sessions
+	// (deadline_model "constrained") admit through the engine's tiered
+	// DBF pipeline and refuse repartition.
+	sched       partfeas.Scheduler
+	platform    partfeas.Platform
+	constrained bool
+
+	eng    *online.Engine
+	closed bool
+	mx     *Metrics    // per-path admission metrics; nil in bare tests
+	dur    *durability // WAL ack gate; nil without -data-dir (all calls nil-safe)
 
 	// Cluster ownership (see migrate.go). epoch is the session's
 	// ownership epoch: 1 at creation, incremented once per completed
@@ -64,13 +76,6 @@ type session struct {
 	noLog     bool
 	tail      []*oplog.Op
 
-	// Constrained-deadline sessions (deadline_model "constrained") admit
-	// through the engine's tiered DBF pipeline, refuse repartition, and
-	// keep each resident task's relative deadline in dls (parallel to
-	// in.Tasks).
-	constrained bool
-	dls         []int64
-
 	// Admit coalescing: concurrent non-force single admits enqueue here
 	// and whichever request acquires s.mu next drains the whole queue as
 	// one merged engine batch (see addTask). pendMu is always acquired
@@ -80,11 +85,11 @@ type session struct {
 }
 
 // admitWaiter is one queued single-task admission awaiting a coalesced
-// drain. done is closed by the draining request after resp/err are set.
+// drain; t is validated and in record form (deadline as sent). done is
+// closed by the draining request after resp/err are set.
 type admitWaiter struct {
 	ctx  context.Context
-	t    partfeas.Task
-	dl   int64 // relative deadline (0 = implicit) on constrained sessions
+	t    oplog.Task
 	resp AdmissionResponse
 	err  error
 	done chan struct{}
@@ -127,39 +132,55 @@ func (st *sessionStore) count() int {
 	return len(st.m)
 }
 
-// create validates nothing itself — the handler passes a decoded,
-// validated instance. The instance is deep-copied so later request
-// buffers cannot alias session state. id, when non-empty, is a
-// caller-assigned session id (the cluster coordinator assigns ids so the
-// consistent-hash ring can route the session before it exists); empty
-// means the store assigns the next "s-<n>".
-func (st *sessionStore) create(in partfeas.Instance, alpha float64, placement online.Policy, id string) (*session, error) {
+// create opens a session, over capacity if the set does not place at
+// alpha. It validates nothing itself — the handler passes a decoded,
+// validated instance. dls, when non-nil, are the tasks' resolved
+// relative deadlines and make the session constrained-deadline. id,
+// when non-empty, is a caller-assigned session id (the cluster
+// coordinator assigns ids so the consistent-hash ring can route the
+// session before it exists); empty means the store assigns the next
+// "s-<n>".
+func (st *sessionStore) create(in partfeas.Instance, dls []int64, alpha float64, placement online.Policy, id string) (*session, error) {
 	defer st.dur.rlock()()
-	adm, err := in.Scheduler.Admission()
+	s, err := st.newSession(in, dls, online.Options{Policy: placement, Alpha: alpha})
 	if err != nil {
 		return nil, badRequest("%v", err)
-	}
-	// Sessions may open over capacity.
-	eng, err := online.NewEngineForce(in.Tasks, in.Platform, online.Options{
-		Policy: placement, Admission: adm, Alpha: alpha,
-	})
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	s := &session{
-		in: partfeas.Instance{
-			Tasks:     in.Tasks.Clone(),
-			Platform:  in.Platform.Clone(),
-			Scheduler: in.Scheduler,
-		},
-		alpha:     alpha,
-		placement: placement,
-		eng:       eng,
-		epoch:     1,
-		mx:        st.mx,
-		dur:       st.dur,
 	}
 	return st.insert(s, id)
+}
+
+// newSession builds a session and its engine — the one place create and
+// restoreSession turn a session's configuration into online.Options. The
+// engine copies the tasks, the session copies the platform, so request
+// buffers never alias session state. Engine errors (malformed inputs, or
+// a constrained set's typed analysis failure such as a horizon overflow)
+// are returned, never downgraded to a verdict.
+func (st *sessionStore) newSession(in partfeas.Instance, dls []int64, opts online.Options) (*session, error) {
+	if dls != nil {
+		if in.Scheduler != partfeas.EDF {
+			return nil, errors.New("constrained-deadline sessions require the EDF scheduler")
+		}
+		opts.Deadlines, opts.ApproxK = dls, sessionApproxK
+	} else {
+		adm, err := in.Scheduler.Admission()
+		if err != nil {
+			return nil, err
+		}
+		opts.Admission = adm
+	}
+	eng, err := online.NewEngineForce(in.Tasks, in.Platform, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &session{
+		sched:       in.Scheduler,
+		platform:    in.Platform.Clone(),
+		constrained: dls != nil,
+		eng:         eng,
+		epoch:       1,
+		mx:          st.mx,
+		dur:         st.dur,
+	}, nil
 }
 
 // insert gives a new session its id and logs its creation (the last
@@ -248,23 +269,17 @@ func createOp(s *session) *oplog.Op {
 	op := &oplog.Op{
 		Type:      oplog.TypeCreate,
 		Session:   s.id,
-		Alpha:     s.alpha,
-		Scheduler: s.in.Scheduler.String(),
-		Placement: s.placement.Name(),
-		Machines:  make([]oplog.Machine, len(s.in.Platform)),
-		Tasks:     make([]oplog.Task, len(s.in.Tasks)),
+		Alpha:     s.eng.Alpha(),
+		Scheduler: s.sched.String(),
+		Placement: s.eng.PlacementPolicy().Name(),
+		Machines:  make([]oplog.Machine, len(s.platform)),
+		Tasks:     s.recordTasks(),
 	}
 	if s.constrained {
 		op.DeadlineModel = "constrained"
 	}
-	for i, m := range s.in.Platform {
+	for i, m := range s.platform {
 		op.Machines[i] = oplog.Machine{Name: m.Name, Speed: m.Speed}
-	}
-	for i, t := range s.in.Tasks {
-		op.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		if s.constrained {
-			op.Tasks[i].Deadline = s.dls[i]
-		}
 	}
 	return op
 }
@@ -395,7 +410,7 @@ func ctxGuard(ctx context.Context) error {
 func (s *session) engReport(res partition.Result) partfeas.Report {
 	return partfeas.Report{
 		Accepted:  res.Feasible,
-		Scheduler: s.in.Scheduler,
+		Scheduler: s.sched,
 		Alpha:     res.Alpha,
 		Partition: res,
 	}
@@ -421,25 +436,26 @@ func (s *session) state(ctx context.Context) (SessionResponse, error) {
 	if err != nil {
 		return SessionResponse{}, err
 	}
+	cs := s.eng.ConstrainedTasks() // D = P on implicit sessions
 	resp := SessionResponse{
 		ID:        s.id,
-		Scheduler: s.in.Scheduler.String(),
-		Alpha:     s.alpha,
-		Placement: s.placement.Name(),
-		Tasks:     make([]TaskJSON, len(s.in.Tasks)),
-		Machines:  make([]MachineJSON, len(s.in.Platform)),
+		Scheduler: s.sched.String(),
+		Alpha:     s.eng.Alpha(),
+		Placement: s.eng.PlacementPolicy().Name(),
+		Tasks:     make([]TaskJSON, len(cs)),
+		Machines:  make([]MachineJSON, len(s.platform)),
 		Test:      TestResponseFrom(rep),
 	}
 	if s.constrained {
 		resp.DeadlineModel = "constrained"
 	}
-	for i, t := range s.in.Tasks {
+	for i, t := range cs {
 		resp.Tasks[i] = TaskJSON{Name: t.Name, WCET: t.WCET, Period: t.Period}
-		if s.constrained && s.dls[i] != t.Period {
-			resp.Tasks[i].Deadline = s.dls[i]
+		if t.Deadline != t.Period {
+			resp.Tasks[i].Deadline = t.Deadline
 		}
 	}
-	for i, m := range s.in.Platform {
+	for i, m := range s.platform {
 		resp.Machines[i] = MachineJSON{Name: m.Name, Speed: m.Speed}
 	}
 	return resp, nil
@@ -454,7 +470,7 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 	if s.closed {
 		return TestResponse{}, errSessionClosed
 	}
-	if alpha == 0 || alpha == s.alpha {
+	if alpha == 0 || alpha == s.eng.Alpha() {
 		rep, err := s.currentReport(ctx)
 		if err != nil {
 			return TestResponse{}, err
@@ -473,7 +489,7 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 		}
 		return TestResponseFrom(rep), nil
 	}
-	t, err := partfeas.NewTester(s.in.Tasks, s.in.Platform, s.in.Scheduler)
+	t, err := partfeas.NewTester(s.eng.Tasks(), s.platform, s.sched)
 	if err != nil {
 		return TestResponse{}, badRequest("%v", err)
 	}
@@ -485,7 +501,10 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 }
 
 // addTask tentatively admits one more task: committed only on acceptance
-// (or force, which may leave the session over capacity).
+// (or force, which may leave the session over capacity). t is in record
+// form — the deadline as the client sent it (0 = implicit) — and is
+// validated here, before it is logged or queued, so a malformed task
+// fails only its own request.
 //
 // Non-force admits coalesce opportunistically: the request enqueues its
 // task, then takes the session lock; whichever request gets the lock
@@ -494,9 +513,9 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 // order) and completes the others' responses. Under contention n
 // queued interior admits cost one suffix replay instead of n; with no
 // contention the queue holds a single entry and the plain path runs.
-func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force bool) (AdmissionResponse, error) {
+func (s *session) addTask(ctx context.Context, t oplog.Task, force bool) (AdmissionResponse, error) {
 	defer s.dur.rlock()()
-	if err := s.checkDeadlineArg(dl, t.Period); err != nil {
+	if err := s.checkTask(t); err != nil {
 		return AdmissionResponse{}, err
 	}
 	if force {
@@ -505,9 +524,9 @@ func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force 
 		// else, so verdict linearizability is unaffected.
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.addTaskLocked(ctx, t, dl, true)
+		return s.addTaskLocked(ctx, t, true)
 	}
-	w := &admitWaiter{ctx: ctx, t: t, dl: dl, done: make(chan struct{})}
+	w := &admitWaiter{ctx: ctx, t: t, done: make(chan struct{})}
 	s.pendMu.Lock()
 	s.pending = append(s.pending, w)
 	s.pendMu.Unlock()
@@ -524,10 +543,9 @@ func (s *session) addTask(ctx context.Context, t partfeas.Task, dl int64, force 
 
 // drainAdmits serves a coalesced group of queued single admits; the
 // caller holds s.mu. A singleton group runs the plain single-admit
-// path; larger groups run one engine AdmitBatch in queue order and
-// share the group's final state as their test response (each verdict
-// still equals what a sequential admit at that queue position would
-// have answered).
+// path; larger groups run one engine batch in queue order and share the
+// group's final state as their test response (each verdict still equals
+// what a sequential admit at that queue position would have answered).
 func (s *session) drainAdmits(group []*admitWaiter) {
 	if len(group) == 0 {
 		return
@@ -552,129 +570,63 @@ func (s *session) drainAdmits(group []*admitWaiter) {
 		// No useful merge: the plain path answers (and keeps single-admit
 		// witness semantics and tail/interior metrics).
 		w := live[0]
-		w.resp, w.err = s.addTaskLocked(w.ctx, w.t, w.dl, false)
+		w.resp, w.err = s.addTaskLocked(w.ctx, w.t, false)
 		close(w.done)
 		return
 	}
 	// The coalesced group commits as one logged best-effort batch: replay
-	// admits the same tasks in the same queue order through AdmitBatch,
-	// which the engine keeps verdict-identical to sequential admission.
-	batch := &oplog.Op{
-		Type: oplog.TypeAdmitBatch, Session: s.id,
-		BatchMode: online.BestEffort.String(),
-		Tasks:     make([]oplog.Task, len(live)),
-	}
+	// admits the same tasks in the same queue order through the engine's
+	// batch path, which it keeps verdict-identical to sequential admission.
+	ts := make([]oplog.Task, len(live))
 	for i, w := range live {
-		batch.Tasks[i] = oplog.Task{Name: w.t.Name, WCET: w.t.WCET, Period: w.t.Period, Deadline: w.dl}
+		ts[i] = w.t
 	}
-	if lerr := s.logOp(batch); lerr != nil {
-		for _, w := range live {
-			w.err = lerr
-			close(w.done)
-		}
-		return
-	}
-	start := time.Now()
-	var res partition.Result
-	var admitted []bool
-	var err error
-	if s.constrained {
-		cs := make(dbf.Set, len(live))
-		for i, w := range live {
-			cs[i] = s.constrainedTask(w.t, w.dl)
-		}
-		res, admitted, err = s.eng.AdmitBatchConstrained(cs, online.BestEffort)
-	} else {
-		ts := make(partfeas.TaskSet, len(live))
-		for i, w := range live {
-			ts[i] = w.t
-		}
-		res, admitted, err = s.eng.AdmitBatch(ts, online.BestEffort)
-	}
-	if err != nil {
-		herr := &httpError{code: http.StatusBadRequest, msg: err.Error()}
-		for _, w := range live {
-			w.err = herr
-			close(w.done)
-		}
-		return
-	}
-	if s.mx != nil {
-		d := time.Since(start)
-		for range live {
-			s.mx.AdmissionObserved(PathCoalesced, d)
-		}
-		s.observeTier(d)
-	}
-	for i, ok := range admitted {
-		if ok {
-			s.appendTask(live[i].t, live[i].dl)
-		}
-	}
-	test := TestResponseFrom(s.engReport(res))
+	res, admitted, err := s.admitBatchLocked(ts, online.BestEffort, PathCoalesced)
 	for i, w := range live {
-		w.resp = AdmissionResponse{
-			Admitted:   admitted[i],
-			RolledBack: !admitted[i],
-			NTasks:     len(s.in.Tasks),
-			Test:       test,
+		if err != nil {
+			w.err = err
+		} else {
+			w.resp = AdmissionResponse{
+				Admitted:   admitted[i],
+				RolledBack: !admitted[i],
+				NTasks:     s.eng.Len(),
+				Test:       res,
+			}
 		}
 		close(w.done)
 	}
 }
 
-// addTaskLocked is the single-admit body; the caller holds s.mu. The op
-// is acknowledged (logged) before any state changes and applied with
-// cancellation stripped, so a durable admit is all-or-nothing.
-func (s *session) addTaskLocked(ctx context.Context, t partfeas.Task, dl int64, force bool) (AdmissionResponse, error) {
+// addTaskLocked is the single-admit body; the caller holds s.mu and has
+// validated t. The op is acknowledged (logged) before any state changes
+// and applied with cancellation stripped, so a durable admit is
+// all-or-nothing.
+func (s *session) addTaskLocked(ctx context.Context, t oplog.Task, force bool) (AdmissionResponse, error) {
 	if err := s.guard(); err != nil {
 		return AdmissionResponse{}, err
 	}
 	if err := ctxGuard(ctx); err != nil {
 		return AdmissionResponse{}, err
 	}
-	if err := s.logOp(&oplog.Op{
-		Type: oplog.TypeAdmit, Session: s.id, Force: force,
-		Tasks: []oplog.Task{{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: dl}},
-	}); err != nil {
+	if err := s.logOp(&oplog.Op{Type: oplog.TypeAdmit, Session: s.id, Force: force, Tasks: []oplog.Task{t}}); err != nil {
 		return AdmissionResponse{}, err
 	}
 	start := time.Now()
-	var res partition.Result
-	var admitted bool
-	var err error
-	switch {
-	case s.constrained && force:
-		res, admitted, err = s.eng.ForceAdmitConstrained(s.constrainedTask(t, dl))
-	case s.constrained:
-		res, admitted, err = s.eng.AdmitConstrained(s.constrainedTask(t, dl))
-	case force:
-		res, admitted, err = s.eng.ForceAdmit(t)
-	default:
-		res, admitted, err = s.eng.Admit(t)
+	admit := s.eng.AdmitConstrained
+	if force {
+		admit = s.eng.ForceAdmitConstrained
 	}
+	res, admitted, err := admit(engTask(t))
 	if err != nil {
 		return AdmissionResponse{}, badRequest("%v", err)
 	}
 	s.observeAdmission(start)
-	if admitted || force {
-		s.appendTask(t, dl)
-	}
 	return AdmissionResponse{
 		Admitted:   admitted || force,
 		RolledBack: !admitted && !force,
-		NTasks:     len(s.in.Tasks),
+		NTasks:     s.eng.Len(),
 		Test:       TestResponseFrom(s.engReport(res)),
 	}, nil
-}
-
-// appendTask records a committed admission in the session's task list
-// (and, on constrained sessions, its deadline). Caller holds s.mu.
-func (s *session) appendTask(t partfeas.Task, dl int64) {
-	s.in.Tasks = append(s.in.Tasks, t)
-	if s.constrained {
-		s.dls = append(s.dls, s.deadlineOf(t, dl))
-	}
 }
 
 // observeAdmission classifies the engine's most recent single admit as
@@ -709,86 +661,73 @@ func (s *session) observeTier(d time.Duration) {
 // batch: per-task verdicts are identical to admitting the tasks one at a
 // time in input order (best-effort mode), or the batch commits
 // atomically or not at all (all-or-nothing mode). On an over-capacity
-// session a task is admitted only once the set places again.
-func (s *session) addTaskBatch(ctx context.Context, ts []partfeas.Task, dls []int64, mode online.BatchMode) (BatchAdmissionResponse, error) {
+// session a task is admitted only once the set places again. ts is in
+// record form and is validated before anything is logged.
+func (s *session) addTaskBatch(ctx context.Context, ts []oplog.Task, mode online.BatchMode) (BatchAdmissionResponse, error) {
 	defer s.dur.rlock()()
+	for i, t := range ts {
+		if err := s.checkTask(t); err != nil {
+			return BatchAdmissionResponse{}, badRequest("batch task %d: %v", i, err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.guard(); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	dl := func(i int) int64 {
-		if dls == nil {
-			return 0
-		}
-		return dls[i]
-	}
-	for i := range ts {
-		if err := s.checkDeadlineArg(dl(i), ts[i].Period); err != nil {
-			return BatchAdmissionResponse{}, err
-		}
-	}
+	resp := BatchAdmissionResponse{Mode: mode.String(), Admitted: []bool{}}
 	if len(ts) == 0 {
 		rep, err := s.currentReport(ctx)
 		if err != nil {
 			return BatchAdmissionResponse{}, err
 		}
-		return BatchAdmissionResponse{
-			Mode:     mode.String(),
-			Admitted: []bool{},
-			NTasks:   len(s.in.Tasks),
-			Test:     TestResponseFrom(rep),
-		}, nil
+		resp.NTasks, resp.Test = s.eng.Len(), TestResponseFrom(rep)
+		return resp, nil
 	}
 	if err := ctxGuard(ctx); err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	batch := &oplog.Op{
-		Type: oplog.TypeAdmitBatch, Session: s.id,
-		BatchMode: mode.String(),
-		Tasks:     make([]oplog.Task, len(ts)),
-	}
-	for i, t := range ts {
-		batch.Tasks[i] = oplog.Task{Name: t.Name, WCET: t.WCET, Period: t.Period, Deadline: dl(i)}
-	}
-	if err := s.logOp(batch); err != nil {
+	test, admitted, err := s.admitBatchLocked(ts, mode, PathBatch)
+	if err != nil {
 		return BatchAdmissionResponse{}, err
 	}
-	start := time.Now()
-	var res partition.Result
-	var admitted []bool
-	var err error
-	if s.constrained {
-		cs := make(dbf.Set, len(ts))
-		for i, t := range ts {
-			cs[i] = s.constrainedTask(t, dl(i))
+	for _, ok := range admitted {
+		if ok {
+			resp.NAdmitted++
 		}
-		res, admitted, err = s.eng.AdmitBatchConstrained(cs, mode)
-	} else {
-		res, admitted, err = s.eng.AdmitBatch(ts, mode)
 	}
+	resp.Admitted, resp.NTasks, resp.Test = admitted, s.eng.Len(), test
+	return resp, nil
+}
+
+// admitBatchLocked logs and applies one validated, non-empty batch — an
+// explicit admit-batch request or a coalesced group of single admits,
+// recorded on metrics path p. Caller holds s.mu.
+func (s *session) admitBatchLocked(ts []oplog.Task, mode online.BatchMode, p AdmissionPath) (TestResponse, []bool, error) {
+	if err := s.logOp(&oplog.Op{Type: oplog.TypeAdmitBatch, Session: s.id, BatchMode: mode.String(), Tasks: ts}); err != nil {
+		return TestResponse{}, nil, err
+	}
+	start := time.Now()
+	cs := make(dbf.Set, len(ts))
+	for i, t := range ts {
+		cs[i] = engTask(t)
+	}
+	res, admitted, err := s.eng.AdmitBatchConstrained(cs, mode)
 	if err != nil {
-		return BatchAdmissionResponse{}, badRequest("%v", err)
+		return TestResponse{}, nil, badRequest("%v", err)
 	}
 	if s.mx != nil {
 		d := time.Since(start)
-		s.mx.AdmissionObserved(PathBatch, d)
+		n := 1 // an explicit batch is one observation
+		if p == PathCoalesced {
+			n = len(ts) // one per coalesced admit
+		}
+		for ; n > 0; n-- {
+			s.mx.AdmissionObserved(p, d)
+		}
 		s.observeTier(d)
 	}
-	n := 0
-	for i, ok := range admitted {
-		if ok {
-			s.appendTask(ts[i], dl(i))
-			n++
-		}
-	}
-	return BatchAdmissionResponse{
-		Mode:      mode.String(),
-		Admitted:  admitted,
-		NAdmitted: n,
-		NTasks:    len(s.in.Tasks),
-		Test:      TestResponseFrom(s.engReport(res)),
-	}, nil
+	return TestResponseFrom(s.engReport(res)), admitted, nil
 }
 
 // removeTask always commits (releasing load cannot be refused) and
@@ -802,10 +741,11 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 	if err := s.guard(); err != nil {
 		return AdmissionResponse{}, err
 	}
-	if idx < 0 || idx >= len(s.in.Tasks) {
-		return AdmissionResponse{}, badRequest("task index %d out of range [0, %d)", idx, len(s.in.Tasks))
+	n := s.eng.Len()
+	if idx < 0 || idx >= n {
+		return AdmissionResponse{}, badRequest("task index %d out of range [0, %d)", idx, n)
 	}
-	if len(s.in.Tasks) == 1 {
+	if n == 1 {
 		return AdmissionResponse{}, badRequest("cannot remove the last task; delete the session instead")
 	}
 	if err := ctxGuard(ctx); err != nil {
@@ -818,11 +758,7 @@ func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, e
 	if err != nil {
 		return AdmissionResponse{}, badRequest("%v", err)
 	}
-	s.in.Tasks = append(s.in.Tasks[:idx], s.in.Tasks[idx+1:]...)
-	if s.constrained {
-		s.dls = append(s.dls[:idx], s.dls[idx+1:]...)
-	}
-	return AdmissionResponse{Admitted: ok, NTasks: len(s.in.Tasks), Test: TestResponseFrom(s.engReport(res))}, nil
+	return AdmissionResponse{Admitted: ok, NTasks: s.eng.Len(), Test: TestResponseFrom(s.engReport(res))}, nil
 }
 
 // updateWCET changes one task's WCET through the engine's incremental
@@ -834,8 +770,8 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 	if err := s.guard(); err != nil {
 		return AdmissionResponse{}, err
 	}
-	if idx < 0 || idx >= len(s.in.Tasks) {
-		return AdmissionResponse{}, badRequest("task index %d out of range [0, %d)", idx, len(s.in.Tasks))
+	if n := s.eng.Len(); idx < 0 || idx >= n {
+		return AdmissionResponse{}, badRequest("task index %d out of range [0, %d)", idx, n)
 	}
 	if err := ctxGuard(ctx); err != nil {
 		return AdmissionResponse{}, err
@@ -851,13 +787,10 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 	if err != nil {
 		return AdmissionResponse{}, badRequest("%v", err)
 	}
-	if ok || force {
-		s.in.Tasks[idx].WCET = wcet
-	}
 	return AdmissionResponse{
 		Admitted:   ok || force,
 		RolledBack: !ok && !force,
-		NTasks:     len(s.in.Tasks),
+		NTasks:     s.eng.Len(),
 		Test:       TestResponseFrom(s.engReport(res)),
 	}, nil
 }
@@ -899,7 +832,7 @@ func (s *session) repartition(ctx context.Context, maxMoves int, apply bool) (Re
 		return RepartitionResponse{}, &httpError{code: http.StatusInternalServerError, msg: err.Error()}
 	}
 	resp := RepartitionResponse{
-		Placement:      s.placement.Name(),
+		Placement:      s.eng.PlacementPolicy().Name(),
 		TargetFeasible: pl.TargetFeasible,
 		MovesTotal:     len(pl.Moves),
 		DriftFraction:  pl.DriftFraction(s.eng.Len()),
