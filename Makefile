@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke benchtest fuzz bench benchsmoke benchjson bench5 bench6 bench7 bench8 bench9 bench10
+.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke benchtest fuzz bench benchsmoke benchjson bench5 bench6 bench7 bench8 bench9 bench10 bench14
 
 ## ci: the full verification gate — vet, build, unit tests, race detector,
 ## the fault-injection matrix, the admission-server smoke, an open-loop
@@ -82,11 +82,13 @@ clustersmoke:
 benchtest:
 	GOFLAGS= GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) -C servebench test ./...
 
-## fuzz: short smokes of the partition-engine invariant fuzzer and the
-## rational arithmetic differential fuzzer (covers the Add/Cmp fast paths).
+## fuzz: short smokes of the partition-engine invariant fuzzer, the
+## rational arithmetic differential fuzzer (covers the Add/Cmp fast paths)
+## and the admission-response appenders against encoding/json.
 fuzz:
 	$(GO) test ./internal/partition -run Fuzz -fuzz=FuzzPartitionInvariants -fuzztime=10s
 	$(GO) test ./internal/rational -run Fuzz -fuzz=FuzzArithmetic -fuzztime=5s
+	$(GO) test ./internal/service -run Fuzz -fuzz=FuzzAppendResponses -fuzztime=5s
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -164,3 +166,16 @@ bench10:
 		-note 'sharded cluster: forwarded vs direct admit, epoch-fenced migration; engine suite unchanged' \
 		-baseline results/BENCH_9.json -max-regress 0.25 \
 		-o results/BENCH_10.json
+
+## bench14: record the admission-response encode benchmark (hand-written
+## appender vs encoding/json, n=1000, m=64) alongside the online-engine
+## and cluster suites to results/BENCH_14.json, gated against the
+## BENCH_10 baseline — the gate fails if any engine or cluster benchmark
+## regresses; the new BenchmarkAdmissionResponseEncode entries pass
+## through as additions.
+bench14:
+	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/cluster ./internal/service" \
+		-bench 'Online|FullResolve|Repartition|Admit|Migration|AdmissionResponseEncode' -benchtime 0.3s \
+		-note 'wire encoding: reflection-free admission responses under the session lock; engine and cluster suites unchanged' \
+		-baseline results/BENCH_10.json -max-regress 0.25 \
+		-o results/BENCH_14.json

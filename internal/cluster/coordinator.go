@@ -68,7 +68,10 @@ type Coordinator struct {
 	// mid-rebalance state). Learned from 421 redirects, self-driven
 	// migrations, and health-loop scrapes.
 	overrides map[string]string
-	forwarded map[string]uint64 // completed forwards by replica
+	// forwarded counts completed forwards by replica. The map is
+	// guarded by mu; each counter is created when its replica joins (or
+	// is first redirected to) and bumped without the lock.
+	forwarded map[string]*atomic.Uint64
 	seq       uint64
 
 	degradedPassthrough atomic.Uint64 // replica 503s relayed unchanged
@@ -83,6 +86,12 @@ type Coordinator struct {
 	stopHC chan struct{}
 	hcDone chan struct{}
 }
+
+// maxIdleConnsPerHost is how many idle keep-alive connections the
+// forwarding client keeps per replica. The default transport keeps 2, so
+// any higher client concurrency would dial and tear down a connection
+// per forward.
+const maxIdleConnsPerHost = 64
 
 // New builds a Coordinator over cfg.Replicas.
 func New(cfg Config) *Coordinator {
@@ -101,16 +110,24 @@ func New(cfg Config) *Coordinator {
 		ring:      NewRing(cfg.Replicas, cfg.VNodes),
 		replicas:  make(map[string]*replicaState, len(cfg.Replicas)),
 		overrides: map[string]string{},
-		forwarded: map[string]uint64{},
+		forwarded: map[string]*atomic.Uint64{},
 		client:    &http.Client{},
 		stopHC:    make(chan struct{}),
 		hcDone:    make(chan struct{}),
+	}
+	// Cloned at construction, not at package init, so the client follows
+	// whatever http.DefaultTransport the process has installed by then.
+	if dt, ok := http.DefaultTransport.(*http.Transport); ok {
+		tr := dt.Clone()
+		tr.MaxIdleConnsPerHost = maxIdleConnsPerHost
+		c.client.Transport = tr
 	}
 	if c.local == nil {
 		c.local = service.New(service.Config{Logf: cfg.Logf})
 	}
 	for _, rep := range c.ring.Members() {
 		c.replicas[rep] = &replicaState{InRing: true}
+		c.counterLocked(rep)
 	}
 	c.handler = c.routes()
 	if cfg.HealthInterval > 0 {
@@ -185,10 +202,25 @@ func (c *Coordinator) handleSessionPath(w http.ResponseWriter, r *http.Request) 
 func (c *Coordinator) routeFor(id string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.routeLocked(id)
+}
+
+func (c *Coordinator) routeLocked(id string) string {
 	if rep, ok := c.overrides[id]; ok {
 		return rep
 	}
 	return c.ring.Owner(id)
+}
+
+// counterLocked returns replica's forward counter, creating it on first
+// use. Caller holds c.mu.
+func (c *Coordinator) counterLocked(replica string) *atomic.Uint64 {
+	n := c.forwarded[replica]
+	if n == nil {
+		n = new(atomic.Uint64)
+		c.forwarded[replica] = n
+	}
+	return n
 }
 
 // forwardAttempts bounds one request's routing walk: an initial send
@@ -206,7 +238,13 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, id string)
 		writeJSON(w, http.StatusBadRequest, service.ErrorResponse{Error: fmt.Sprintf("reading request body: %v", err)})
 		return
 	}
-	replica := c.routeFor(id)
+	c.mu.Lock()
+	replica := c.routeLocked(id)
+	var fwd *atomic.Uint64
+	if replica != "" {
+		fwd = c.counterLocked(replica)
+	}
+	c.mu.Unlock()
 	if replica == "" {
 		writeJSON(w, http.StatusServiceUnavailable, service.ErrorResponse{Error: "no replicas in the ring"})
 		return
@@ -223,8 +261,7 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, id string)
 				drain(res)
 				if owner != "" && owner != replica {
 					c.redirects.Add(1)
-					c.noteOverride(id, owner)
-					replica = owner
+					replica, fwd = owner, c.noteOverride(id, owner)
 					continue
 				}
 				// A tombstone without a known owner (or pointing at
@@ -249,6 +286,7 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, id string)
 			c.degradedPassthrough.Add(1)
 		}
 		c.relay(w, res, replica)
+		fwd.Add(1)
 		return
 	}
 }
@@ -285,6 +323,12 @@ func (c *Coordinator) send(r *http.Request, replica string, body []byte) (*http.
 	return c.client.Do(req)
 }
 
+// relayBufs recycles relay copy buffers. Replica bodies carry a
+// Content-Length, and io.Copy into the ResponseWriter of such a body
+// takes net.TCPConn's ReadFrom path, which allocates a fresh 32 KB
+// buffer per response.
+var relayBufs = sync.Pool{New: func() any { return new([8 << 10]byte) }}
+
 // relay copies the replica's response to the client, stamped with the
 // shard that answered.
 func (c *Coordinator) relay(w http.ResponseWriter, res *http.Response, replica string) {
@@ -296,13 +340,14 @@ func (c *Coordinator) relay(w http.ResponseWriter, res *http.Response, replica s
 	}
 	w.Header().Set("X-Shard", replica)
 	w.WriteHeader(res.StatusCode)
-	io.Copy(w, res.Body)
-	c.mu.Lock()
-	c.forwarded[replica]++
-	c.mu.Unlock()
+	buf := relayBufs.Get().(*[8 << 10]byte)
+	io.CopyBuffer(struct{ io.Writer }{w}, res.Body, buf[:]) // hides ReadFrom
+	relayBufs.Put(buf)
 }
 
-func (c *Coordinator) noteOverride(id, replica string) {
+// noteOverride records where a session actually lives and returns that
+// replica's forward counter.
+func (c *Coordinator) noteOverride(id, replica string) *atomic.Uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.ring.Owner(id) == replica {
@@ -310,6 +355,7 @@ func (c *Coordinator) noteOverride(id, replica string) {
 	} else {
 		c.overrides[id] = replica
 	}
+	return c.counterLocked(replica)
 }
 
 func drain(res *http.Response) {
@@ -329,6 +375,7 @@ func (c *Coordinator) Join(ctx context.Context, replica string) (int, error) {
 	} else {
 		c.replicas[replica] = &replicaState{InRing: true}
 	}
+	c.counterLocked(replica)
 	c.mu.Unlock()
 	c.logf("cluster: %s joined the ring", replica)
 	return c.Rebalance(ctx)
@@ -578,7 +625,7 @@ func (c *Coordinator) Status() ClusterStatus {
 		out.Replicas = append(out.Replicas, ReplicaStatus{
 			URL: rep, Up: st.Up, Sessions: st.Sessions,
 			InRing: st.InRing, Draining: st.Draining,
-			Forwarded: c.forwarded[rep],
+			Forwarded: c.counterLocked(rep).Load(),
 		})
 	}
 	return out
@@ -752,7 +799,8 @@ func (c *Coordinator) Serve() error {
 	return c.hs.Serve(c.ln)
 }
 
-// Close stops the health loop (and the HTTP server, if serving).
+// Close stops the health loop (and the HTTP server, if serving) and
+// drops the forwarding client's idle connections.
 func (c *Coordinator) Close() error {
 	select {
 	case <-c.stopHC:
@@ -760,6 +808,7 @@ func (c *Coordinator) Close() error {
 		close(c.stopHC)
 	}
 	<-c.hcDone
+	c.client.CloseIdleConnections()
 	if c.hs != nil {
 		return c.hs.Close()
 	}
@@ -774,6 +823,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 		close(c.stopHC)
 	}
 	<-c.hcDone
+	c.client.CloseIdleConnections()
 	var err error
 	if c.hs != nil {
 		err = c.hs.Shutdown(ctx)

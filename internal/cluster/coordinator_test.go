@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -540,4 +542,83 @@ func afterLine(text, prefix string) string {
 		}
 	}
 	return ""
+}
+
+// TestForwardReusesConnections: the forwarding client keeps enough idle
+// connections per replica that 8 concurrent clients reuse them — 8
+// connections serve 200 forwarded requests — and the per-replica
+// forward counter counts every forward. A warm-up round holds 8
+// forwards at the replica until all have arrived, so it opens exactly 8
+// connections; after that each client's previous connection is back in
+// the pool before its next request, so no further dial is needed.
+func TestForwardReusesConnections(t *testing.T) {
+	const clients, perClient = 8, 25
+	var dials, held atomic.Int64
+	var warming atomic.Bool
+	release := make(chan struct{})
+	rep := service.New(service.Config{Logf: t.Logf})
+	inner := rep.Handler()
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if warming.Load() {
+			if held.Add(1) == clients {
+				close(release)
+			}
+			<-release
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := startCoordinator(t, &testReplica{srv: rep, url: ts.URL})
+	base := coordURL(c)
+	id, _ := createSession(t, base)
+
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	run := func(n int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < n; j++ {
+					res, err := client.Get(base + "/v1/sessions/" + id)
+					if err != nil {
+						errs <- err
+						return
+					}
+					_, _ = io.Copy(io.Discard, res.Body)
+					res.Body.Close()
+					if res.StatusCode != http.StatusOK {
+						errs <- fmt.Errorf("get: %s", res.Status)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	warming.Store(true)
+	run(1)
+	warming.Store(false)
+	run(perClient)
+	if n := dials.Load(); n > clients {
+		t.Errorf("%d forwarded clients opened %d connections to the replica over %d requests, want at most %d",
+			clients, n, clients*perClient, clients)
+	}
+	st := c.Status()
+	if want := uint64(1 + clients + clients*perClient); len(st.Replicas) != 1 || st.Replicas[0].Forwarded != want {
+		t.Errorf("forward counters %+v, want %d on the one replica", st.Replicas, want)
+	}
 }

@@ -132,15 +132,32 @@ type TestResponse struct {
 // slices are deep-copied, so the response stays valid after the Report's
 // backing Tester answers its next query.
 func TestResponseFrom(rep partfeas.Report) TestResponse {
-	resp := TestResponse{
+	resp := testView(rep)
+	resp.Assignment = append([]int(nil), resp.Assignment...)
+	resp.Loads = append([]float64(nil), resp.Loads...)
+	return resp
+}
+
+// testView is rep's wire form without copies: Assignment and Loads
+// alias the report's slices, so the view must be encoded before their
+// owner (the session engine under s.mu, a pooled Tester) moves on.
+// Empty slices become nil, as the deep copy has always made them.
+func testView(rep partfeas.Report) TestResponse {
+	r := TestResponse{
 		Accepted:   rep.Accepted,
 		Scheduler:  rep.Scheduler.String(),
 		Alpha:      rep.Alpha,
-		Assignment: append([]int(nil), rep.Partition.Assignment...),
-		Loads:      append([]float64(nil), rep.Partition.Loads...),
+		Assignment: rep.Partition.Assignment,
+		Loads:      rep.Partition.Loads,
 		FailedTask: rep.Partition.FailedTask,
 	}
-	return resp
+	if len(r.Assignment) == 0 {
+		r.Assignment = nil
+	}
+	if len(r.Loads) == 0 {
+		r.Loads = nil
+	}
+	return r
 }
 
 // MinAlphaRequest asks for the smallest accepted augmentation.

@@ -229,7 +229,12 @@ func coalesce(t *testing.T, sess *session, queued int, ts ...oplog.Task) ([]Admi
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resps[i], errs[i] = sess.addTask(context.Background(), tk, false)
+			var body *encoded
+			if body, errs[i] = sess.addTask(context.Background(), tk, false); body != nil {
+				if err := json.Unmarshal(body.b, &resps[i]); err != nil {
+					t.Error(err)
+				}
+			}
 			answered.Add(1)
 		}()
 	}

@@ -87,7 +87,8 @@ func (s *Server) routes() http.Handler {
 // wrap is the shared request spine: in-flight gauge, latency recording,
 // panic isolation (one poisoned request answers 500, the server lives),
 // uniform error rendering. Handlers return (body, status, error); status
-// 0 means 200, a nil body with a status writes an empty response.
+// 0 means 200, a nil body with a status writes an empty response, and an
+// *encoded body is written as is.
 func (s *Server) wrap(endpoint string, fn func(w http.ResponseWriter, r *http.Request) (any, int, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.RequestStarted()
@@ -97,7 +98,7 @@ func (s *Server) wrap(endpoint string, fn func(w http.ResponseWriter, r *http.Re
 			if v := recover(); v != nil {
 				code = http.StatusInternalServerError
 				s.logf("service: panic serving %s: %v\n%s", endpoint, v, debug.Stack())
-				writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf("internal error: %v", v)})
+				code = writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf("internal error: %v", v)})
 			}
 			s.metrics.RequestDone(endpoint, code, time.Since(start))
 		}()
@@ -116,17 +117,20 @@ func (s *Server) wrap(endpoint string, fn func(w http.ResponseWriter, r *http.Re
 					w.Header().Set("X-Migration", "in-progress")
 				}
 			}
-			writeJSON(w, code, ErrorResponse{Error: err.Error()})
+			code = writeJSON(w, code, ErrorResponse{Error: err.Error()})
 			return
 		}
 		if st != 0 {
 			code = st
 		}
-		if resp == nil {
+		switch body := resp.(type) {
+		case nil:
 			w.WriteHeader(code)
-			return
+		case *encoded:
+			writeBody(w, code, body)
+		default:
+			code = writeJSON(w, code, resp)
 		}
-		writeJSON(w, code, resp)
 	}
 }
 
@@ -146,13 +150,6 @@ func (s *Server) statusFor(r *http.Request, err error) int {
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusInternalServerError
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
 
 // decode reads a strict JSON body (unknown fields rejected, 1 MiB cap).
@@ -212,10 +209,16 @@ func (s *Server) handleTest(w http.ResponseWriter, r *http.Request) (any, int, e
 		s.pool.Release(key, t)
 		return nil, 0, err
 	}
-	resp := TestResponseFrom(rep) // deep copy, so release after this
+	// rep aliases the tester's buffers: encode before releasing it.
+	view := testView(rep)
+	body := getBuf()
+	body.b, err = appendTest(body.b, &view, nil)
 	s.pool.Release(key, t)
+	if body, err = body.finish(err); err != nil {
+		return nil, 0, err
+	}
 	w.Header().Set("X-Cache", cacheHeader(hit))
-	return resp, 0, nil
+	return body, 0, nil
 }
 
 func (s *Server) handleMinAlpha(w http.ResponseWriter, r *http.Request) (any, int, error) {
@@ -322,7 +325,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) (an
 		_ = s.sessions.remove(sess.id)
 		return nil, 0, err
 	}
-	s.markDurability(w, &state.Durability)
+	state.Durability = s.markDurability(w)
 	return state, http.StatusCreated, nil
 }
 
@@ -344,8 +347,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) (an
 	if err := s.sessions.remove(r.PathValue("id")); err != nil {
 		return nil, 0, err
 	}
-	var discard string
-	s.markDurability(w, &discard)
+	s.markDurability(w)
 	return nil, http.StatusNoContent, nil
 }
 
@@ -365,11 +367,11 @@ func (s *Server) handleSessionTest(w http.ResponseWriter, r *http.Request) (any,
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	resp, err := sess.test(ctx, req.Alpha)
+	body, err := sess.test(ctx, req.Alpha)
 	if err != nil {
 		return nil, 0, err
 	}
-	return resp, 0, nil
+	return body, 0, nil
 }
 
 func (s *Server) handleSessionAddTask(w http.ResponseWriter, r *http.Request) (any, int, error) {
@@ -383,12 +385,12 @@ func (s *Server) handleSessionAddTask(w http.ResponseWriter, r *http.Request) (a
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	resp, err := sess.addTask(ctx, oplog.Task(req.Task), req.Force)
+	body, err := sess.addTask(ctx, oplog.Task(req.Task), req.Force)
 	if err != nil {
 		return nil, 0, err
 	}
-	s.markDurability(w, &resp.Durability)
-	return resp, 0, nil
+	s.markDurability(w)
+	return body, 0, nil
 }
 
 func (s *Server) handleSessionAdmitBatch(w http.ResponseWriter, r *http.Request) (any, int, error) {
@@ -410,12 +412,12 @@ func (s *Server) handleSessionAdmitBatch(w http.ResponseWriter, r *http.Request)
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	resp, err := sess.addTaskBatch(ctx, ts, mode)
+	body, err := sess.addTaskBatch(ctx, ts, mode)
 	if err != nil {
 		return nil, 0, err
 	}
-	s.markDurability(w, &resp.Durability)
-	return resp, 0, nil
+	s.markDurability(w)
+	return body, 0, nil
 }
 
 func (s *Server) handleSessionRemoveTask(w http.ResponseWriter, r *http.Request) (any, int, error) {
@@ -429,12 +431,12 @@ func (s *Server) handleSessionRemoveTask(w http.ResponseWriter, r *http.Request)
 	}
 	ctx, cancel := s.requestCtx(r, 0)
 	defer cancel()
-	resp, err := sess.removeTask(ctx, idx)
+	body, err := sess.removeTask(ctx, idx)
 	if err != nil {
 		return nil, 0, err
 	}
-	s.markDurability(w, &resp.Durability)
-	return resp, 0, nil
+	s.markDurability(w)
+	return body, 0, nil
 }
 
 func (s *Server) handleSessionUpdateWCET(w http.ResponseWriter, r *http.Request) (any, int, error) {
@@ -448,12 +450,12 @@ func (s *Server) handleSessionUpdateWCET(w http.ResponseWriter, r *http.Request)
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	resp, err := sess.updateWCET(ctx, req.Index, req.WCET, req.Force)
+	body, err := sess.updateWCET(ctx, req.Index, req.WCET, req.Force)
 	if err != nil {
 		return nil, 0, err
 	}
-	s.markDurability(w, &resp.Durability)
-	return resp, 0, nil
+	s.markDurability(w)
+	return body, 0, nil
 }
 
 func (s *Server) handleSessionRepartition(w http.ResponseWriter, r *http.Request) (any, int, error) {
@@ -475,7 +477,7 @@ func (s *Server) handleSessionRepartition(w http.ResponseWriter, r *http.Request
 		return nil, 0, err
 	}
 	if req.Apply {
-		s.markDurability(w, &resp.Durability)
+		resp.Durability = s.markDurability(w)
 	}
 	return resp, 0, nil
 }
@@ -485,14 +487,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.metrics.WritePrometheus(w)
 }
 
-// markDurability stamps a mutation response with the durability level its
-// acknowledgement carries: "wal" means the op was appended to the
-// write-ahead log before the response was produced, "none" means the
-// server runs without -data-dir and the op lives only in memory.
-func (s *Server) markDurability(w http.ResponseWriter, field *string) {
+// markDurability stamps a mutation response's X-Durability header with
+// the durability level its acknowledgement carries, and returns it for
+// the body: "wal" means the op was appended to the write-ahead log
+// before the response was produced, "none" means the server runs
+// without -data-dir and the op lives only in memory. Session mutations
+// encode the same level into their bodies under the session lock.
+func (s *Server) markDurability(w http.ResponseWriter) string {
 	m := s.dur.mode()
-	*field = m
 	w.Header().Set("X-Durability", m)
+	return m
 }
 
 func cacheHeader(hit bool) string {

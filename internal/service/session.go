@@ -58,6 +58,7 @@ type session struct {
 
 	eng    *online.Engine
 	closed bool
+	loads  loadCache   // JSON text of the engine's per-machine loads
 	mx     *Metrics    // per-path admission metrics; nil in bare tests
 	dur    *durability // WAL ack gate; nil without -data-dir (all calls nil-safe)
 
@@ -86,11 +87,11 @@ type session struct {
 
 // admitWaiter is one queued single-task admission awaiting a coalesced
 // drain; t is validated and in record form (deadline as sent). done is
-// closed by the draining request after resp/err are set.
+// closed by the draining request after body/err are set.
 type admitWaiter struct {
 	ctx  context.Context
 	t    oplog.Task
-	resp AdmissionResponse
+	body *encoded
 	err  error
 	done chan struct{}
 }
@@ -416,6 +417,27 @@ func (s *session) engReport(res partition.Result) partfeas.Report {
 	}
 }
 
+// encodeTest encodes rep as a TestResponse body. Caller holds s.mu,
+// which keeps the engine's views valid while they are encoded.
+func (s *session) encodeTest(rep partfeas.Report) (*encoded, error) {
+	view := testView(rep)
+	e := getBuf()
+	var err error
+	e.b, err = appendTest(e.b, &view, &s.loads)
+	return e.finish(err)
+}
+
+// encodeAdmission encodes a mutation's answer, stamped with the
+// session's durability level. test, when non-nil, is the Test object
+// already encoded (a coalesced group shares one). Caller holds s.mu.
+func (s *session) encodeAdmission(r AdmissionResponse, test []byte) (*encoded, error) {
+	r.Durability = s.dur.mode()
+	e := getBuf()
+	var err error
+	e.b, err = appendAdmission(e.b, &r, test, &s.loads)
+	return e.finish(err)
+}
+
 // currentReport answers "test the resident set at the session alpha"
 // from the engine.
 func (s *session) currentReport(ctx context.Context) (partfeas.Report, error) {
@@ -461,43 +483,38 @@ func (s *session) state(ctx context.Context) (SessionResponse, error) {
 	return resp, nil
 }
 
-// test re-tests the current set; alpha 0 keeps the session augmentation.
-// Ad-hoc alphas run a one-shot fresh sorted test (the engine's state is
-// only valid at the session alpha).
-func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error) {
+// test re-tests the current set and returns the encoded TestResponse;
+// alpha 0 keeps the session augmentation. Ad-hoc alphas run a one-shot
+// fresh sorted test (the engine's state is only valid at the session
+// alpha).
+func (s *session) test(ctx context.Context, alpha float64) (*encoded, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return TestResponse{}, errSessionClosed
+		return nil, errSessionClosed
 	}
-	if alpha == 0 || alpha == s.eng.Alpha() {
-		rep, err := s.currentReport(ctx)
-		if err != nil {
-			return TestResponse{}, err
-		}
-		return TestResponseFrom(rep), nil
-	}
-	if s.constrained {
+	var rep partfeas.Report
+	var err error
+	switch {
+	case alpha == 0 || alpha == s.eng.Alpha():
+		rep, err = s.currentReport(ctx)
+	case s.constrained:
 		// Constrained sets have no Tester; ad-hoc alphas run a fresh
 		// exact constrained first-fit solve.
-		if err := ctxGuard(ctx); err != nil {
-			return TestResponse{}, err
+		if err = ctxGuard(ctx); err == nil {
+			rep, err = s.freshConstrainedReport(alpha)
 		}
-		rep, err := s.freshConstrainedReport(alpha)
-		if err != nil {
-			return TestResponse{}, err
+	default:
+		var t *partfeas.Tester
+		if t, err = partfeas.NewTester(s.eng.Tasks(), s.platform, s.sched); err != nil {
+			return nil, badRequest("%v", err)
 		}
-		return TestResponseFrom(rep), nil
+		rep, err = t.TestCtx(ctx, alpha)
 	}
-	t, err := partfeas.NewTester(s.eng.Tasks(), s.platform, s.sched)
 	if err != nil {
-		return TestResponse{}, badRequest("%v", err)
+		return nil, err
 	}
-	rep, err := t.TestCtx(ctx, alpha)
-	if err != nil {
-		return TestResponse{}, err
-	}
-	return TestResponseFrom(rep), nil
+	return s.encodeTest(rep)
 }
 
 // addTask tentatively admits one more task: committed only on acceptance
@@ -513,10 +530,10 @@ func (s *session) test(ctx context.Context, alpha float64) (TestResponse, error)
 // order) and completes the others' responses. Under contention n
 // queued interior admits cost one suffix replay instead of n; with no
 // contention the queue holds a single entry and the plain path runs.
-func (s *session) addTask(ctx context.Context, t oplog.Task, force bool) (AdmissionResponse, error) {
+func (s *session) addTask(ctx context.Context, t oplog.Task, force bool) (*encoded, error) {
 	defer s.dur.rlock()()
 	if err := s.checkTask(t); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	if force {
 		// Force commits have their own commit rule; keep them out of
@@ -538,14 +555,15 @@ func (s *session) addTask(ctx context.Context, t oplog.Task, force bool) (Admiss
 	s.drainAdmits(group) // may be empty, may not include w, may be w alone
 	s.mu.Unlock()
 	<-w.done // completed by this drain or an earlier one
-	return w.resp, w.err
+	return w.body, w.err
 }
 
 // drainAdmits serves a coalesced group of queued single admits; the
 // caller holds s.mu. A singleton group runs the plain single-admit
 // path; larger groups run one engine batch in queue order and share the
-// group's final state as their test response (each verdict still equals
-// what a sequential admit at that queue position would have answered).
+// group's final state as their test response, encoded once (each
+// verdict still equals what a sequential admit at that queue position
+// would have answered).
 func (s *session) drainAdmits(group []*admitWaiter) {
 	if len(group) == 0 {
 		return
@@ -570,7 +588,7 @@ func (s *session) drainAdmits(group []*admitWaiter) {
 		// No useful merge: the plain path answers (and keeps single-admit
 		// witness semantics and tail/interior metrics).
 		w := live[0]
-		w.resp, w.err = s.addTaskLocked(w.ctx, w.t, false)
+		w.body, w.err = s.addTaskLocked(w.ctx, w.t, false)
 		close(w.done)
 		return
 	}
@@ -582,16 +600,21 @@ func (s *session) drainAdmits(group []*admitWaiter) {
 		ts[i] = w.t
 	}
 	res, admitted, err := s.admitBatchLocked(ts, online.BestEffort, PathCoalesced)
+	test := getBuf()
+	defer test.release()
+	if err == nil {
+		view := testView(s.engReport(res))
+		test.b, err = appendTest(test.b, &view, &s.loads)
+	}
 	for i, w := range live {
 		if err != nil {
 			w.err = err
 		} else {
-			w.resp = AdmissionResponse{
+			w.body, w.err = s.encodeAdmission(AdmissionResponse{
 				Admitted:   admitted[i],
 				RolledBack: !admitted[i],
 				NTasks:     s.eng.Len(),
-				Test:       res,
-			}
+			}, test.b)
 		}
 		close(w.done)
 	}
@@ -601,15 +624,15 @@ func (s *session) drainAdmits(group []*admitWaiter) {
 // validated t. The op is acknowledged (logged) before any state changes
 // and applied with cancellation stripped, so a durable admit is
 // all-or-nothing.
-func (s *session) addTaskLocked(ctx context.Context, t oplog.Task, force bool) (AdmissionResponse, error) {
+func (s *session) addTaskLocked(ctx context.Context, t oplog.Task, force bool) (*encoded, error) {
 	if err := s.guard(); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	if err := ctxGuard(ctx); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	if err := s.logOp(&oplog.Op{Type: oplog.TypeAdmit, Session: s.id, Force: force, Tasks: []oplog.Task{t}}); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	start := time.Now()
 	admit := s.eng.AdmitConstrained
@@ -618,15 +641,15 @@ func (s *session) addTaskLocked(ctx context.Context, t oplog.Task, force bool) (
 	}
 	res, admitted, err := admit(engTask(t))
 	if err != nil {
-		return AdmissionResponse{}, badRequest("%v", err)
+		return nil, badRequest("%v", err)
 	}
 	s.observeAdmission(start)
-	return AdmissionResponse{
+	return s.encodeAdmission(AdmissionResponse{
 		Admitted:   admitted || force,
 		RolledBack: !admitted && !force,
 		NTasks:     s.eng.Len(),
-		Test:       TestResponseFrom(s.engReport(res)),
-	}, nil
+		Test:       testView(s.engReport(res)),
+	}, nil)
 }
 
 // observeAdmission classifies the engine's most recent single admit as
@@ -663,49 +686,57 @@ func (s *session) observeTier(d time.Duration) {
 // atomically or not at all (all-or-nothing mode). On an over-capacity
 // session a task is admitted only once the set places again. ts is in
 // record form and is validated before anything is logged.
-func (s *session) addTaskBatch(ctx context.Context, ts []oplog.Task, mode online.BatchMode) (BatchAdmissionResponse, error) {
+func (s *session) addTaskBatch(ctx context.Context, ts []oplog.Task, mode online.BatchMode) (*encoded, error) {
 	defer s.dur.rlock()()
 	for i, t := range ts {
 		if err := s.checkTask(t); err != nil {
-			return BatchAdmissionResponse{}, badRequest("batch task %d: %v", i, err)
+			return nil, badRequest("batch task %d: %v", i, err)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.guard(); err != nil {
-		return BatchAdmissionResponse{}, err
+		return nil, err
 	}
-	resp := BatchAdmissionResponse{Mode: mode.String(), Admitted: []bool{}}
+	resp := BatchAdmissionResponse{Mode: mode.String(), Admitted: []bool{}, Durability: s.dur.mode()}
 	if len(ts) == 0 {
 		rep, err := s.currentReport(ctx)
 		if err != nil {
-			return BatchAdmissionResponse{}, err
+			return nil, err
 		}
-		resp.NTasks, resp.Test = s.eng.Len(), TestResponseFrom(rep)
-		return resp, nil
+		resp.NTasks, resp.Test = s.eng.Len(), testView(rep)
+		return s.encodeBatch(&resp)
 	}
 	if err := ctxGuard(ctx); err != nil {
-		return BatchAdmissionResponse{}, err
+		return nil, err
 	}
-	test, admitted, err := s.admitBatchLocked(ts, mode, PathBatch)
+	res, admitted, err := s.admitBatchLocked(ts, mode, PathBatch)
 	if err != nil {
-		return BatchAdmissionResponse{}, err
+		return nil, err
 	}
 	for _, ok := range admitted {
 		if ok {
 			resp.NAdmitted++
 		}
 	}
-	resp.Admitted, resp.NTasks, resp.Test = admitted, s.eng.Len(), test
-	return resp, nil
+	resp.Admitted, resp.NTasks, resp.Test = admitted, s.eng.Len(), testView(s.engReport(res))
+	return s.encodeBatch(&resp)
+}
+
+// encodeBatch encodes an admit-batch answer. Caller holds s.mu.
+func (s *session) encodeBatch(r *BatchAdmissionResponse) (*encoded, error) {
+	e := getBuf()
+	var err error
+	e.b, err = appendBatch(e.b, r, &s.loads)
+	return e.finish(err)
 }
 
 // admitBatchLocked logs and applies one validated, non-empty batch — an
 // explicit admit-batch request or a coalesced group of single admits,
 // recorded on metrics path p. Caller holds s.mu.
-func (s *session) admitBatchLocked(ts []oplog.Task, mode online.BatchMode, p AdmissionPath) (TestResponse, []bool, error) {
+func (s *session) admitBatchLocked(ts []oplog.Task, mode online.BatchMode, p AdmissionPath) (partition.Result, []bool, error) {
 	if err := s.logOp(&oplog.Op{Type: oplog.TypeAdmitBatch, Session: s.id, BatchMode: mode.String(), Tasks: ts}); err != nil {
-		return TestResponse{}, nil, err
+		return partition.Result{}, nil, err
 	}
 	start := time.Now()
 	cs := make(dbf.Set, len(ts))
@@ -714,7 +745,7 @@ func (s *session) admitBatchLocked(ts []oplog.Task, mode online.BatchMode, p Adm
 	}
 	res, admitted, err := s.eng.AdmitBatchConstrained(cs, mode)
 	if err != nil {
-		return TestResponse{}, nil, badRequest("%v", err)
+		return partition.Result{}, nil, badRequest("%v", err)
 	}
 	if s.mx != nil {
 		d := time.Since(start)
@@ -727,57 +758,57 @@ func (s *session) admitBatchLocked(ts []oplog.Task, mode online.BatchMode, p Adm
 		}
 		s.observeTier(d)
 	}
-	return TestResponseFrom(s.engReport(res)), admitted, nil
+	return res, admitted, nil
 }
 
 // removeTask always commits (releasing load cannot be refused) and
 // reports the re-test of the shrunken set. Sorted first-fit is not
 // monotone under removals, so the shrunken set can (rarely) fail to
 // place; the session then holds it over capacity.
-func (s *session) removeTask(ctx context.Context, idx int) (AdmissionResponse, error) {
+func (s *session) removeTask(ctx context.Context, idx int) (*encoded, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.guard(); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	n := s.eng.Len()
 	if idx < 0 || idx >= n {
-		return AdmissionResponse{}, badRequest("task index %d out of range [0, %d)", idx, n)
+		return nil, badRequest("task index %d out of range [0, %d)", idx, n)
 	}
 	if n == 1 {
-		return AdmissionResponse{}, badRequest("cannot remove the last task; delete the session instead")
+		return nil, badRequest("cannot remove the last task; delete the session instead")
 	}
 	if err := ctxGuard(ctx); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	if err := s.logOp(&oplog.Op{Type: oplog.TypeRemove, Session: s.id, Target: idx}); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	res, ok, err := s.eng.ForceRemove(idx)
 	if err != nil {
-		return AdmissionResponse{}, badRequest("%v", err)
+		return nil, badRequest("%v", err)
 	}
-	return AdmissionResponse{Admitted: ok, NTasks: s.eng.Len(), Test: TestResponseFrom(s.engReport(res))}, nil
+	return s.encodeAdmission(AdmissionResponse{Admitted: ok, NTasks: s.eng.Len(), Test: testView(s.engReport(res))}, nil)
 }
 
 // updateWCET changes one task's WCET through the engine's incremental
 // path, rolling back when the re-test rejects and force is unset.
-func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force bool) (AdmissionResponse, error) {
+func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force bool) (*encoded, error) {
 	defer s.dur.rlock()()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.guard(); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	if n := s.eng.Len(); idx < 0 || idx >= n {
-		return AdmissionResponse{}, badRequest("task index %d out of range [0, %d)", idx, n)
+		return nil, badRequest("task index %d out of range [0, %d)", idx, n)
 	}
 	if err := ctxGuard(ctx); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	if err := s.logOp(&oplog.Op{Type: oplog.TypeUpdateWCET, Session: s.id, Target: idx, WCET: wcet, Force: force}); err != nil {
-		return AdmissionResponse{}, err
+		return nil, err
 	}
 	update := s.eng.UpdateWCET
 	if force {
@@ -785,14 +816,14 @@ func (s *session) updateWCET(ctx context.Context, idx int, wcet int64, force boo
 	}
 	res, ok, err := update(idx, wcet)
 	if err != nil {
-		return AdmissionResponse{}, badRequest("%v", err)
+		return nil, badRequest("%v", err)
 	}
-	return AdmissionResponse{
+	return s.encodeAdmission(AdmissionResponse{
 		Admitted:   ok || force,
 		RolledBack: !ok && !force,
 		NTasks:     s.eng.Len(),
-		Test:       TestResponseFrom(s.engReport(res)),
-	}, nil
+		Test:       testView(s.engReport(res)),
+	}, nil)
 }
 
 // errOverCapacity is the repartition answer for sessions whose resident
