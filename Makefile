@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke benchtest fuzz bench benchsmoke benchjson bench5 bench6 bench7 bench8 bench9 bench10 bench14
+.PHONY: ci vet build test race faultsmoke servesmoke loadsmoke crashsmoke arenasmoke clustersmoke benchtest fuzz bench benchsmoke benchjson bench5 bench6 bench7 bench8 bench9 bench10 bench14 bench15
 
 ## ci: the full verification gate — vet, build, unit tests, race detector,
 ## the fault-injection matrix, the admission-server smoke, an open-loop
@@ -83,12 +83,14 @@ benchtest:
 	GOFLAGS= GOWORK=off GOPROXY=off GOTOOLCHAIN=local $(GO) -C servebench test ./...
 
 ## fuzz: short smokes of the partition-engine invariant fuzzer, the
-## rational arithmetic differential fuzzer (covers the Add/Cmp fast paths)
-## and the admission-response appenders against encoding/json.
+## rational arithmetic differential fuzzer (covers the Add/Cmp fast paths),
+## the admission-response appenders against encoding/json and the
+## request reader against encoding/json.
 fuzz:
 	$(GO) test ./internal/partition -run Fuzz -fuzz=FuzzPartitionInvariants -fuzztime=10s
 	$(GO) test ./internal/rational -run Fuzz -fuzz=FuzzArithmetic -fuzztime=5s
 	$(GO) test ./internal/service -run Fuzz -fuzz=FuzzAppendResponses -fuzztime=5s
+	$(GO) test ./internal/service -run Fuzz -fuzz=FuzzDecodeRequests -fuzztime=5s
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
@@ -179,3 +181,16 @@ bench14:
 		-note 'wire encoding: reflection-free admission responses under the session lock; engine and cluster suites unchanged' \
 		-baseline results/BENCH_10.json -max-regress 0.25 \
 		-o results/BENCH_14.json
+
+## bench15: record the request-decode benchmark (plain reader vs
+## encoding/json, n=1000, m=64) and the tester build (BenchmarkNewTester,
+## n=1000) alongside the online-engine and cluster suites to
+## results/BENCH_15.json, gated against the BENCH_14 baseline recorded on
+## the same host class — the gate fails if any engine, cluster or encode
+## benchmark regresses; the new entries pass through as additions.
+bench15:
+	$(GO) run ./cmd/benchjson -pkg "./internal/online ./internal/cluster ./internal/service ." \
+		-bench 'Online|FullResolve|Repartition|Admit|Migration|AdmissionResponseEncode|RequestDecode|NewTester' -benchtime 0.3s \
+		-note 'request decode: plain-subset reader with encoding/json fallback; gcd-free paper order in the tester build; engine and cluster suites unchanged' \
+		-baseline results/BENCH_14.json -max-regress 0.25 \
+		-o results/BENCH_15.json

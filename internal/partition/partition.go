@@ -11,7 +11,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"partfeas/internal/machine"
@@ -250,24 +252,22 @@ func Partition(ts task.Set, p machine.Platform, cfg Config) (Result, error) {
 	return s.Solve(cfg.Alpha)
 }
 
-// TaskLessUtilDesc is the paper's task order as a strict total order on
-// input indices a, b of ts: utilization descending by exact rational
-// comparison, ties broken by period, name, then input index. orderTasks,
-// the Solver's incremental re-sort and the online engine's insertion
-// search all use this single definition, which is what makes their
-// placements byte-identical.
+// TaskLessUtilDesc is the paper's task order (task.ComparePaperOrder)
+// as a strict total order on input indices a, b of ts: utilization
+// descending by exact comparison, ties broken by period, name, then
+// input index. orderTasks, the Solver's incremental re-sort and the
+// online engine's insertion search all use this single definition,
+// which is what makes their placements byte-identical.
 func TaskLessUtilDesc(ts task.Set, a, b int) bool {
-	c := ts[a].UtilizationRat().Cmp(ts[b].UtilizationRat())
-	if c != 0 {
-		return c > 0
+	return taskCmpUtilDesc(ts, a, b) < 0
+}
+
+// taskCmpUtilDesc is TaskLessUtilDesc as a three-way comparison.
+func taskCmpUtilDesc(ts task.Set, a, b int) int {
+	if c := task.ComparePaperOrder(ts[a], ts[b]); c != 0 {
+		return c
 	}
-	if ts[a].Period != ts[b].Period {
-		return ts[a].Period < ts[b].Period
-	}
-	if ts[a].Name != ts[b].Name {
-		return ts[a].Name < ts[b].Name
-	}
-	return a < b
+	return cmp.Compare(a, b)
 }
 
 // MachineLessSpeedAsc is the paper's machine scan order as a strict total
@@ -288,10 +288,11 @@ func orderTasks(ts task.Set, o TaskOrder) ([]int, error) {
 	case TasksAsGiven:
 		return idx, nil
 	case TasksByUtilizationDesc, TasksByUtilizationAsc:
-		// Same exact-rational comparison as task.SortedByUtilizationDesc,
-		// applied to the index permutation.
-		sort.SliceStable(idx, func(a, b int) bool {
-			return TaskLessUtilDesc(ts, idx[a], idx[b])
+		// Same order as task.SortedByUtilizationDesc, applied to the
+		// index permutation. The order is total (input index breaks the
+		// last ties), so an unstable sort yields the same permutation.
+		slices.SortFunc(idx, func(a, b int) int {
+			return taskCmpUtilDesc(ts, a, b)
 		})
 		if o == TasksByUtilizationAsc {
 			for i, j := 0, len(idx)-1; i < j; i, j = i+1, j-1 {

@@ -150,9 +150,16 @@ func (r Rat) Cmp(s Rat) int {
 			return 0
 		}
 	}
-	// Compare r.num*s.den with s.num*r.den in 128 bits.
-	lhHi, lhLo := mul64(r.num, s.den)
-	rhHi, rhLo := mul64(s.num, r.den)
+	return CmpFrac(r.num, r.den, s.num, s.den)
+}
+
+// CmpFrac compares a/b with c/d exactly for positive denominators b and
+// d, returning -1, 0 or +1. It cross-multiplies in 128 bits (a·d against
+// c·b), so the fractions need no reduction: no gcd, and no overflow for
+// any int64 operands.
+func CmpFrac(a, b, c, d int64) int {
+	lhHi, lhLo := mul64(a, d)
+	rhHi, rhLo := mul64(c, b)
 	return cmp128(lhHi, lhLo, rhHi, rhLo)
 }
 

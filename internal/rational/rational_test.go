@@ -528,3 +528,40 @@ func BenchmarkCmpInt(b *testing.B) {
 		x.Cmp(y)
 	}
 }
+
+// TestCmpFracAgreesWithCmp is the property the gcd-free task order rests
+// on: cross-multiplying the unreduced fractions in 128 bits gives
+// exactly Rat.Cmp of the reduced ones, for positive numerators and
+// denominators up to MaxInt64. Operands are drawn at every bit length,
+// plus equal fractions built from a shared factor and the extremes.
+func TestCmpFracAgreesWithCmp(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	pos := func() int64 {
+		if rng.Intn(8) == 0 {
+			return []int64{1, 2, math.MaxInt64, math.MaxInt64 - 1, 1 << 62}[rng.Intn(5)]
+		}
+		return rng.Int63n(int64(1)<<uint(rng.Intn(63))) + 1
+	}
+	check := func(a, b, c, d int64) {
+		t.Helper()
+		want := MustNew(a, b).Cmp(MustNew(c, d))
+		if got := CmpFrac(a, b, c, d); got != want {
+			t.Fatalf("CmpFrac(%d, %d, %d, %d) = %d, Rat.Cmp = %d", a, b, c, d, got, want)
+		}
+		if bw := big.NewRat(a, b).Cmp(big.NewRat(c, d)); bw != want {
+			t.Fatalf("Rat.Cmp(%d/%d, %d/%d) = %d, big.Rat = %d", a, b, c, d, want, bw)
+		}
+	}
+	for i := 0; i < 50000; i++ {
+		a, b, c, d := pos(), pos(), pos(), pos()
+		check(a, b, c, d)
+		// The same value written two ways must compare equal.
+		if k := rng.Int63n(1000) + 1; a <= math.MaxInt64/k && b <= math.MaxInt64/k {
+			check(a, b, a*k, b*k)
+		}
+	}
+	check(math.MaxInt64, math.MaxInt64, 1, 1)
+	check(math.MaxInt64, 1, math.MaxInt64, 1)
+	check(1, math.MaxInt64, 1, math.MaxInt64-1)
+	check(math.MaxInt64-1, math.MaxInt64, math.MaxInt64-2, math.MaxInt64-1)
+}

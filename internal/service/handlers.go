@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -150,17 +149,6 @@ func (s *Server) statusFor(r *http.Request, err error) int {
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusInternalServerError
-}
-
-// decode reads a strict JSON body (unknown fields rejected, 1 MiB cap).
-func decode[T any](w http.ResponseWriter, r *http.Request, dst *T) error {
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return badRequest("decoding request: %v", err)
-	}
-	return nil
 }
 
 // requestCtx derives the per-request deadline: the request's own

@@ -215,7 +215,7 @@ func decodeInternal[T any](w http.ResponseWriter, r *http.Request, dst *T) error
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return badRequest("decoding request: %v", err)
+		return decodeError(err)
 	}
 	return nil
 }

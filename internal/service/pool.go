@@ -99,24 +99,37 @@ func NewTesterPool(shards, maxIdlePerKey, maxKeys int) *TesterPool {
 	return p
 }
 
-// Acquire returns an exclusive Tester for the instance plus the cache key
-// to Release it under. hit reports whether the tester came from the cache.
-// The instance must already be validated (the handlers validate at
-// decode); construction errors are still surfaced.
-func (p *TesterPool) Acquire(in partfeas.Instance) (t *partfeas.Tester, key string, hit bool, err error) {
-	key = instanceKey(in)
-	sh := &p.shards[shardOf(key, len(p.shards))]
+// poolKey names an instance's slot: its canonical encoding and the
+// shard that encoding hashes to, computed once per request.
+type poolKey struct {
+	s     string
+	shard int
+}
+
+// Acquire returns an exclusive Tester for the instance plus the key to
+// Release it under. hit reports whether the tester came from the cache.
+// A hit allocates nothing for the key: the lookup reads the encoding in
+// a pooled buffer, and the key reuses the cached entry's string. The
+// instance must already be validated (the handlers validate at decode);
+// construction errors are still surfaced.
+func (p *TesterPool) Acquire(in partfeas.Instance) (t *partfeas.Tester, key poolKey, hit bool, err error) {
+	kb := getBuf()
+	defer kb.release()
+	kb.b = appendInstanceKey(kb.b, in)
+	b := kb.b
+	key.shard = shardOf(b, len(p.shards))
+	sh := &p.shards[key.shard]
 	sh.mu.Lock()
-	if e := sh.entries[key]; e != nil && len(e.idle) > 0 {
+	if e := sh.entries[string(b)]; e != nil && len(e.idle) > 0 {
+		key.s = e.key
 		t = e.idle[len(e.idle)-1]
 		e.idle[len(e.idle)-1] = nil
 		e.idle = e.idle[:len(e.idle)-1]
+		sh.unlink(e)
 		if len(e.idle) == 0 {
-			sh.unlink(e)
-			delete(sh.entries, key)
+			delete(sh.entries, e.key)
 			p.keys.Add(-1)
 		} else {
-			sh.unlink(e)
 			sh.pushFront(e)
 		}
 		sh.mu.Unlock()
@@ -127,25 +140,27 @@ func (p *TesterPool) Acquire(in partfeas.Instance) (t *partfeas.Tester, key stri
 	p.misses.Add(1)
 	t, err = partfeas.NewTester(in.Tasks, in.Platform, in.Scheduler)
 	if err != nil {
-		return nil, "", false, err
+		return nil, poolKey{}, false, err
 	}
+	// The string is built once, for the entry Release will insert.
+	key.s = string(b)
 	return t, key, false, nil
 }
 
-// Release returns a tester acquired for key to the pool. Testers whose
+// Release returns a tester acquired under key to the pool. Testers whose
 // state was mutated (UpdateWCET) must not be released — sessions keep
 // their testers privately for exactly that reason.
-func (p *TesterPool) Release(key string, t *partfeas.Tester) {
+func (p *TesterPool) Release(key poolKey, t *partfeas.Tester) {
 	if t == nil {
 		return
 	}
-	sh := &p.shards[shardOf(key, len(p.shards))]
+	sh := &p.shards[key.shard]
 	sh.mu.Lock()
-	e := sh.entries[key]
+	e := sh.entries[key.s]
 	inserted := e == nil
 	if inserted {
-		e = &poolEntry{key: key}
-		sh.entries[key] = e
+		e = &poolEntry{key: key.s}
+		sh.entries[key.s] = e
 	} else {
 		sh.unlink(e)
 	}

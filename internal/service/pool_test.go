@@ -34,6 +34,9 @@ func demoInstances() []partfeas.Instance {
 	}
 }
 
+// instanceKey is an instance's pool key as a string.
+func instanceKey(in partfeas.Instance) string { return string(appendInstanceKey(nil, in)) }
+
 func TestInstanceKeyIdentity(t *testing.T) {
 	ins := demoInstances()
 	seen := map[string]int{}
@@ -269,7 +272,7 @@ func TestPoolKeyEvictionCrossShard(t *testing.T) {
 // first-inserted one.
 func TestPoolKeyEvictionLRUOrder(t *testing.T) {
 	p := NewTesterPool(1, 4, 2)
-	acquire := func(i int) (*partfeas.Tester, string, bool) {
+	acquire := func(i int) (*partfeas.Tester, poolKey, bool) {
 		tt, key, hit, err := p.Acquire(poolInstance(i))
 		if err != nil {
 			t.Fatal(err)
@@ -295,5 +298,37 @@ func TestPoolKeyEvictionLRUOrder(t *testing.T) {
 	}
 	if _, _, hit := acquire(2); !hit {
 		t.Fatal("newest key C was evicted")
+	}
+}
+
+// TestPoolHitAllocatesNothing: a cache hit encodes its key into a pooled
+// buffer, looks it up without converting it and hashes it once, so the
+// Acquire/Release round trip of a hit allocates nothing (two idle
+// testers keep the entry alive across the round trip).
+func TestPoolHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	p := NewTesterPool(4, 2, 0)
+	in := demoInstances()[0]
+	t1, k1, _, err := p.Acquire(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, k2, _, err := p.Acquire(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(k1, t1)
+	p.Release(k2, t2)
+	allocs := testing.AllocsPerRun(100, func() {
+		tt, key, hit, err := p.Acquire(in)
+		if err != nil || !hit {
+			t.Fatalf("hit=%v err=%v", hit, err)
+		}
+		p.Release(key, tt)
+	})
+	if allocs != 0 {
+		t.Fatalf("a pool hit allocated %v times, want 0", allocs)
 	}
 }

@@ -21,7 +21,9 @@ import (
 
 // encoded is a response body encoded before the handler returns — for
 // session mutations under the session lock, straight from the engine's
-// views. wrap writes it in one Write and recycles the buffer.
+// views. wrap writes it in one Write and recycles the buffer. The same
+// pooled buffers hold small request bodies while they are decoded and
+// the tester pool's key while it is looked up.
 type encoded struct{ b []byte }
 
 // maxPooledBuf caps the buffers bufPool retains, so one large body (a

@@ -134,22 +134,41 @@ func (s Set) Clone() Set {
 	return c
 }
 
+// CmpUtilization compares w_a with w_b exactly, returning -1, 0 or +1:
+// C_a·P_b against C_b·P_a in 128 bits, with no gcd. Periods must be
+// positive (Validate).
+func CmpUtilization(a, b Task) int {
+	return rational.CmpFrac(a.WCET, a.Period, b.WCET, b.Period)
+}
+
+// ComparePaperOrder is the paper's task order: utilization descending
+// by exact comparison, ties broken by smaller period first, then by
+// name. It returns -1 when a comes before b, +1 when after, and 0 only
+// when the tasks tie on all three. Every sort of tasks into the paper's
+// order uses this one definition, which is what makes their placements
+// byte-identical.
+func ComparePaperOrder(a, b Task) int {
+	if c := CmpUtilization(a, b); c != 0 {
+		return -c
+	}
+	if a.Period != b.Period {
+		if a.Period < b.Period {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.Name, b.Name)
+}
+
 // SortedByUtilizationDesc returns a copy sorted by non-increasing
 // utilization (w_i >= w_{i+1}), the task order the paper's algorithm
-// requires. Ties break by smaller period first, then by name, so the order
-// is deterministic.
+// requires. Ties break by smaller period first, then by name
+// (ComparePaperOrder), then by input position, so the order is
+// deterministic.
 func (s Set) SortedByUtilizationDesc() Set {
 	c := s.Clone()
 	sort.SliceStable(c, func(i, j int) bool {
-		// Exact comparison: w_i > w_j iff C_i * P_j > C_j * P_i.
-		ci := c[i].UtilizationRat().Cmp(c[j].UtilizationRat())
-		if ci != 0 {
-			return ci > 0
-		}
-		if c[i].Period != c[j].Period {
-			return c[i].Period < c[j].Period
-		}
-		return c[i].Name < c[j].Name
+		return ComparePaperOrder(c[i], c[j]) < 0
 	})
 	return c
 }
@@ -158,7 +177,7 @@ func (s Set) SortedByUtilizationDesc() Set {
 // paper's task order.
 func (s Set) IsSortedByUtilizationDesc() bool {
 	for i := 1; i < len(s); i++ {
-		if s[i-1].UtilizationRat().Cmp(s[i].UtilizationRat()) < 0 {
+		if CmpUtilization(s[i-1], s[i]) < 0 {
 			return false
 		}
 	}

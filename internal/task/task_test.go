@@ -3,6 +3,7 @@ package task
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -328,5 +329,48 @@ func TestQuickUtilizationAgreement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The gcd-free comparisons agree with the exact rational ones they
+// replace: CmpUtilization with UtilizationRat().Cmp, and
+// ComparePaperOrder with utilization descending, then period, then name.
+func TestComparePaperOrderMatchesRational(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	draw := func() Task {
+		return Task{
+			Name:   []string{"", "a", "b"}[rng.Intn(3)],
+			WCET:   rng.Int63n(int64(1)<<uint(rng.Intn(63))) + 1,
+			Period: rng.Int63n(int64(1)<<uint(rng.Intn(63))) + 1,
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := draw(), draw()
+		if rng.Intn(4) == 0 { // same utilization, other period
+			b.WCET, b.Period = a.WCET*2, a.Period*2
+			if b.Period <= 0 || b.WCET <= 0 {
+				b.WCET, b.Period = a.WCET, a.Period
+			}
+		}
+		cu := a.UtilizationRat().Cmp(b.UtilizationRat())
+		if got := CmpUtilization(a, b); got != cu {
+			t.Fatalf("CmpUtilization(%v, %v) = %d, want %d", a, b, got, cu)
+		}
+		want := -cu
+		if want == 0 {
+			switch {
+			case a.Period < b.Period:
+				want = -1
+			case a.Period > b.Period:
+				want = 1
+			case a.Name < b.Name:
+				want = -1
+			case a.Name > b.Name:
+				want = 1
+			}
+		}
+		if got := ComparePaperOrder(a, b); got != want {
+			t.Fatalf("ComparePaperOrder(%v, %v) = %d, want %d", a, b, got, want)
+		}
 	}
 }
